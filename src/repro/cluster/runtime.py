@@ -449,7 +449,6 @@ class CoRunExecutor:
         faults: Optional[object] = None,
         incremental: bool = True,
         solver_backend: str = "object",
-        incidence_backend: str = "auto",
         validate: bool = False,
     ) -> None:
         """``policy`` is either a bare :class:`FabricPolicy` or a
@@ -463,12 +462,11 @@ class CoRunExecutor:
         durations.  ``observer`` (:mod:`repro.obs`) sees the whole
         run: job/stage lifecycle, flow events, engine counters.
 
-        ``incremental``, ``solver_backend``, ``incidence_backend``,
-        and ``validate`` pass straight through to
-        :class:`FluidFabric` (the defaults match the fabric's, so
-        existing callers are unchanged); scenario construction
-        (:func:`repro.experiments.common.build_scenario`) and the
-        storm fuzzer vary them to cross-check solver paths.
+        ``incremental``, ``solver_backend`` and ``validate`` pass
+        straight through to :class:`FluidFabric` (the defaults match
+        the fabric's, so existing callers are unchanged); scenario
+        construction (:func:`repro.experiments.common.build_scenario`)
+        and the storm fuzzer vary them to cross-check solver paths.
 
         ``faults`` is an optional
         :class:`repro.faults.FaultInjector`; it is bound to this
@@ -490,7 +488,6 @@ class CoRunExecutor:
             observer=observer,
             incremental=incremental,
             solver_backend=solver_backend,
-            incidence_backend=incidence_backend,
             validate=validate,
         )
         self.observer = self.fabric.observer

@@ -280,12 +280,9 @@ class ScenarioSpec:
 
     ``policy_kwargs`` passes extra keyword arguments to
     :func:`make_policy` (e.g. ``num_pls`` for the queue-count study).
-    ``incremental``/``solver_backend``/``incidence_backend``/
-    ``validate`` select the fabric's solver path -- the defaults are
-    the bit-reproducible object solver, which every pinned golden
-    uses.  ``incidence_backend`` only appears in :meth:`config` when
-    it differs from its ``"auto"`` default, so pre-existing sweep
-    config hashes (and the goldens built on them) are unchanged.
+    ``incremental``/``solver_backend``/``validate`` select the
+    fabric's solver path -- the defaults are the bit-reproducible
+    object solver, which every pinned golden uses.
     """
 
     topology: str = "single_switch"
@@ -296,7 +293,6 @@ class ScenarioSpec:
     completion_quantum: float = EXPERIMENT_QUANTUM
     incremental: bool = True
     solver_backend: str = "object"
-    incidence_backend: str = "auto"
     validate: bool = False
 
     def __post_init__(self) -> None:
@@ -312,7 +308,7 @@ class ScenarioSpec:
 
     def config(self) -> Dict[str, object]:
         """JSON/``config_hash``-friendly form for sweep task configs."""
-        out: Dict[str, object] = {
+        return {
             "topology": self.topology,
             "topology_kwargs": dict(self.topology_kwargs),
             "policy": self.policy,
@@ -323,11 +319,6 @@ class ScenarioSpec:
             "solver_backend": self.solver_backend,
             "validate": self.validate,
         }
-        if self.incidence_backend != "auto":
-            # Conditional so every pre-existing config hash (and the
-            # goldens keyed on them) is byte-identical.
-            out["incidence_backend"] = self.incidence_backend
-        return out
 
 
 @dataclass
@@ -411,7 +402,6 @@ def build_scenario(
         observer=observer,
         incremental=spec.incremental,
         solver_backend=spec.solver_backend,
-        incidence_backend=spec.incidence_backend,
         validate=spec.validate,
         faults=faults,
     )

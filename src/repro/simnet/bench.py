@@ -187,12 +187,10 @@ def _solver_stats(fabric: FluidFabric, wall: float) -> Dict[str, Any]:
         "vector_solver_seconds": round(fabric.vector_seconds, 4),
         "object_solver_seconds": round(fabric.object_seconds, 4),
         # The recompute pipeline split: time spent building solver
-        # inputs (caps/spec marshalling, CSR assembly) vs inside the
-        # solve kernels themselves.  With the array-native incidence
-        # the marshal share should be a small fraction of the solve.
+        # inputs (discovery, caps/spec marshalling, CSR assembly, rate
+        # scatter) vs inside the solvers themselves.
         "marshal_seconds": round(fabric.marshal_seconds, 4),
         "solve_seconds": round(fabric.solve_seconds, 4),
-        "incidence_backend": fabric.incidence_backend_resolved,
         "flows_completed": len(fabric.completed),
         "flows_per_sec": round(len(fabric.completed) / wall, 1)
         if wall > 0 else None,

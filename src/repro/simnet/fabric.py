@@ -6,16 +6,18 @@ start, flow completion, timer expiry, reconfiguration), so the
 simulation is exact: on each event the fabric re-solves rates and
 jumps straight to the next event.
 
-The rate pipeline is *incremental*: a persistent flow↔link incidence
-index (:mod:`repro.simnet.incidence`) partitions active flows into
-congestion components, and an event re-solves only the components
-containing dirtied flows or reconfigured ports -- allocation is
-link-local, so link-disjoint components never interact and the
-component-scoped solution equals the full one exactly (DESIGN.md 5d).
-Per-link ``usable_capacity`` deratings are cached until the link's
-flow population or queue programming changes, and flow completions
-live in a lazy heap keyed by predicted finish time, so per-event work
-is O(disturbed component + log n) instead of O(active flows × links).
+The rate pipeline is *incremental*: one persistent flow↔link index
+(:class:`~repro.simnet.incidence.ArrayIncidence` over the
+:class:`~repro.simnet.flowtable.FlowTable` of per-flow numbers)
+partitions active flows into congestion components, and an event
+re-solves only the components containing dirtied flows or
+reconfigured ports -- allocation is link-local, so link-disjoint
+components never interact and the component-scoped solution equals
+the full one exactly (DESIGN.md 5d).  Per-link ``usable_capacity``
+deratings are cached until the link's flow population or queue
+programming changes, and predicted completions live in the table's
+``finish_at`` column, so per-event work is O(disturbed component)
+plus vectorized passes instead of O(active flows × links).
 
 Allocation policies plug in through two hooks:
 
@@ -42,7 +44,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -67,34 +68,21 @@ from repro.simnet.engine import Simulator
 from repro.simnet.fairness import FairScheduler, LinkScheduler, solve_component
 from repro.simnet.flows import Flow
 from repro.simnet.flowtable import FlowTable
-from repro.simnet.incidence import (
-    ArrayIncidence,
-    ComponentBatch,
-    FlowIncidence,
-    _gather_ranges,
-)
-from repro.simnet.kernels import (
-    KIND_FAIR,
-    KIND_PRIO,
-    KIND_WFQ,
-    KernelComponent,
-    PreparedBatch,
-    component_specs,
-    padded_cells,
-    solve_batch,
-    solve_maxmin_prepared,
-    solve_residual_prepared,
-)
+from repro.simnet.incidence import ArrayIncidence
+from repro.simnet.kernels import solve_components
 from repro.simnet.routing import Router
 from repro.simnet.telemetry import UtilizationRecorder
 from repro.simnet.topology import Topology
 
 _EPS = 1e-9
 
-#: Padded work-array cell budget for the vector kernels; components
-#: whose (links x max members-per-link) estimate exceeds this fall
-#: back to the object solver rather than allocating a huge 2-D array.
-_PAD_CELL_LIMIT = 32_000_000
+#: ``solver_backend="auto"``: a component of at least this many flows
+#: solves on the vector kernels (below it, array setup costs more
+#: than the interpreter loop it replaces) ...
+VECTOR_MIN_FLOWS = 32
+#: ... and once one recompute's components together reach this many
+#: flows, all of them go to the kernels in a single invocation.
+VECTOR_MIN_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -164,59 +152,6 @@ class _DefaultPolicy:
         pass
 
 
-class _LinkMembers(Sequence):
-    """Lazy ``Sequence[Flow]`` over one batch link's pairs.
-
-    Indexes the persistent batch axes on access: element ``i`` is the
-    flow bound to slot ``slots[pair_flow[start + i]]``.  Iteration
-    order is pair order -- identical to the eagerly-built member lists
-    the object recompute hands schedulers, so ``usable_capacity`` and
-    ``kernel_spec`` see the same flows in the same order either way.
-    """
-
-    __slots__ = ("_slots", "_pair_flow", "_start", "_n", "_flow_of")
-
-    def __init__(
-        self,
-        slots: np.ndarray,
-        pair_flow: np.ndarray,
-        start: int,
-        n: int,
-        flow_of: List[Optional[Flow]],
-    ) -> None:
-        self._slots = slots
-        self._pair_flow = pair_flow
-        self._start = start
-        self._n = n
-        self._flow_of = flow_of
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, index):  # type: ignore[override]
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._n))]
-        if index < 0:
-            index += self._n
-        if not 0 <= index < self._n:
-            raise IndexError(index)
-        flow = self._flow_of[
-            int(self._slots[self._pair_flow[self._start + index]])
-        ]
-        assert flow is not None
-        return flow
-
-    def __iter__(self):
-        flow_of = self._flow_of
-        member_slots = self._slots[
-            self._pair_flow[self._start : self._start + self._n]
-        ].tolist()
-        for slot in member_slots:
-            flow = flow_of[slot]
-            assert flow is not None
-            yield flow
-
-
 class FluidFabric:
     """Event-driven fluid network simulation over a topology."""
 
@@ -230,9 +165,6 @@ class FluidFabric:
         observer: Optional[Observer] = None,
         incremental: bool = True,
         solver_backend: str = "object",
-        vector_min_flows: int = 32,
-        vector_min_batch: int = 256,
-        incidence_backend: str = "auto",
     ) -> None:
         """
         Args:
@@ -263,47 +195,22 @@ class FluidFabric:
                 Python solver everywhere -- its trajectories are
                 bit-identical to the pre-kernel releases, which the
                 pinned experiment recipes rely on.  ``"auto"`` solves
-                large components -- or large dirty batches -- with
-                the vectorized numpy kernels
-                (:mod:`repro.simnet.kernels`) and everything else
-                with the object solver; ``"vector"`` forces the
-                kernels wherever the schedulers support them.  Kernel
-                results match the object solver to ~1e-12 relative
-                (reassociation noise only, DESIGN.md 5i); benchmarks
-                and hyperscale runs opt into ``"auto"``/``"vector"``.
-            vector_min_flows: in ``auto`` mode, a component solves on
-                the vector backend once it has at least this many
-                flows (below it, array setup costs more than the
-                interpreter loop it replaces).
-            vector_min_batch: in ``auto`` mode, when one recompute's
-                dirty components together reach this many flows they
-                are all batched into a single kernel invocation even
-                if each is individually small.
-            incidence_backend: which flow<->link index maintains the
-                congestion components.  ``"object"`` is the dict-based
-                :class:`~repro.simnet.incidence.FlowIncidence` whose
-                recompute path walks Flow objects -- byte-identical to
-                previous releases.  ``"array"`` is the persistent
-                structure-of-arrays
-                :class:`~repro.simnet.incidence.ArrayIncidence`:
-                component discovery, CSR marshalling and rate scatter
-                become vectorized gathers over persistent axes (same
-                orderings, hence the same floating-point results as
-                marshalling through objects).  ``"auto"`` (default)
-                follows the solver: array-native when
-                ``solver_backend`` is ``"auto"``/``"vector"``, object
-                otherwise -- so the pinned object-backend goldens are
-                untouched while kernel users get the fast path.
+                components of at least :data:`VECTOR_MIN_FLOWS` flows
+                -- or every component, once one recompute's batch
+                reaches :data:`VECTOR_MIN_BATCH` flows -- with the
+                vectorized numpy kernels (:mod:`repro.simnet.kernels`)
+                and everything else with the object solver;
+                ``"vector"`` forces the kernels wherever the
+                schedulers support them.  Kernel results match the
+                object solver to ~1e-12 relative (reassociation noise
+                only, DESIGN.md 5i); benchmarks and hyperscale runs
+                opt into ``"auto"``/``"vector"``.
         """
         if completion_quantum < 0:
             raise SimulationError("completion_quantum must be >= 0")
         if solver_backend not in ("auto", "vector", "object"):
             raise SimulationError(
                 f"unknown solver backend {solver_backend!r}"
-            )
-        if incidence_backend not in ("auto", "array", "object"):
-            raise SimulationError(
-                f"unknown incidence backend {incidence_backend!r}"
             )
         self.topology = topology
         self.router = Router(topology)
@@ -322,9 +229,6 @@ class FluidFabric:
         self.completion_quantum = completion_quantum
         self.incremental = incremental
         self.solver_backend = solver_backend
-        self.vector_min_flows = vector_min_flows
-        self.vector_min_batch = vector_min_batch
-        self.incidence_backend = incidence_backend
         self.policy: FabricPolicy = _DefaultPolicy()
         self._component_safe = True
         self._active: Dict[int, Flow] = {}
@@ -338,31 +242,15 @@ class FluidFabric:
         self._table = FlowTable()
         self._seq = itertools.count()
         # -- incremental-solve state -----------------------------------
-        self._array_incidence = incidence_backend == "array" or (
-            incidence_backend == "auto"
-            and solver_backend in ("auto", "vector")
-        )
-        self._incidence: "FlowIncidence | ArrayIncidence" = (
-            ArrayIncidence(self._table)
-            if self._array_incidence
-            else FlowIncidence()
-        )
-        #: What ``incidence_backend`` resolved to after "auto"
-        #: dispatch; bench payloads report this alongside the request.
-        self.incidence_backend_resolved = (
-            "array" if self._array_incidence else "object"
-        )
+        #: The one flow<->link index; congestion components are
+        #: discovered over it and kernel batches gathered from it.
+        self._incidence = ArrayIncidence(self._table)
         #: Dirty ports, in dirtying order (dict-as-ordered-set: string
         #: sets iterate in hash order, which is not reproducible).
         self._dirty_links: Dict[str, None] = {}
         self._dirty_all = True
         self._rates_dirty = True
         self._sched_cache: Dict[str, LinkScheduler] = {}
-        #: Scheduler + uniform-fair flag per *interned* link index
-        #: (array-incidence recompute hot loop: list indexing instead
-        #: of dict lookups).  Grown lazily; reset with ``_sched_cache``.
-        self._sched_by_gi: List[Optional[LinkScheduler]] = []
-        self._fair_by_gi: List[bool] = []
         #: link -> ((queue-table generation, throttle), usable capacity)
         self._caps_cache: Dict[str, Tuple[Tuple[int, float], float]] = {}
         self._link_used: Dict[str, float] = {}
@@ -395,8 +283,6 @@ class FluidFabric:
         policy.attach(self)
         self._component_safe = bool(getattr(policy, "component_safe", True))
         self._sched_cache.clear()
-        self._sched_by_gi.clear()
-        self._fair_by_gi.clear()
         self._caps_cache.clear()
         self.invalidate_rates()
 
@@ -505,6 +391,7 @@ class FluidFabric:
 
     @property
     def active_flows(self) -> List[Flow]:
+        """Flows in the network, in start order."""
         return list(self._active.values())
 
     def start_flow(
@@ -593,29 +480,49 @@ class FluidFabric:
     def _capacity_of(self, link_id: str, n_flows: int) -> float:
         return self.topology.link_states[link_id].effective_capacity(n_flows)
 
-    def _usable_capacity(
-        self, link_id: str, scheduler: LinkScheduler, members: List[Flow],
+    def _link_capacities(
+        self,
+        link_ids: Sequence[str],
+        members_of: Callable[[int], Sequence[Flow]],
         use_cache: bool,
-    ) -> float:
-        """Scheduler-derated capacity, cached while the link is stable.
+    ) -> Tuple[List[LinkScheduler], List[float]]:
+        """Each link's scheduler and scheduler-derated capacity.
 
-        A cache entry is valid only if the link was not dirtied (its
-        flow population is unchanged) and its queue-table generation
-        and throttle still match; component-unsafe policies bypass the
-        cache entirely (their derating can depend on flow state).
+        ``members_of(i)`` gives link ``i``'s member flows in start
+        order; it is called only when the capacity must be derated
+        afresh.  A cached capacity is reused while the link was not
+        dirtied (its flow population is unchanged) and its queue-table
+        generation and throttle still match; component-unsafe policies
+        bypass the cache entirely (their derating can depend on flow
+        state).
         """
-        state = self.topology.link_states[link_id]
-        key = (self.topology.port_table(link_id).generation, state.throttle)
-        if use_cache and link_id not in self._dirty_links:
-            cached = self._caps_cache.get(link_id)
-            if cached is not None and cached[0] == key:
-                return cached[1]
-        usable = scheduler.usable_capacity(
-            state.effective_capacity(len(members)), members
-        )
-        if use_cache:
-            self._caps_cache[link_id] = (key, usable)
-        return usable
+        sched_cache = self._sched_cache
+        caps_cache = self._caps_cache
+        dirty = self._dirty_links
+        link_states = self.topology.link_states
+        port_table = self.topology.port_table
+        schedulers: List[LinkScheduler] = []
+        caps: List[float] = []
+        for i, lid in enumerate(link_ids):
+            scheduler = sched_cache.get(lid)
+            if scheduler is None:
+                scheduler = sched_cache[lid] = self.policy.scheduler_of(lid)
+            schedulers.append(scheduler)
+            state = link_states[lid]
+            key = (port_table(lid).generation, state.throttle)
+            if use_cache and lid not in dirty:
+                cached = caps_cache.get(lid)
+                if cached is not None and cached[0] == key:
+                    caps.append(cached[1])
+                    continue
+            members = members_of(i)
+            usable = scheduler.usable_capacity(
+                state.effective_capacity(len(members)), members
+            )
+            if use_cache:
+                caps_cache[lid] = (key, usable)
+            caps.append(usable)
+        return schedulers, caps
 
     def recompute_rates(self) -> None:
         """Re-solve every dirty congestion component.
@@ -626,100 +533,54 @@ class FluidFabric:
         per-component results are exactly what a joint solve produces
         (:func:`repro.simnet.fairness.network_rates` decomposes the
         same way).
+
+        ``solver_backend`` and component size pick each component's
+        solver.  Only kernel-bound components are flattened into
+        arrays; the object solver takes its Flow lists and ``on_link``
+        maps straight from discovery, because on the small components
+        it gets, assembling a CSR it never reads costs more than the
+        solve itself (DESIGN.md 5k).
         """
-        if self._array_incidence:
-            self._recompute_array()
-            return
         obs = self.observer
         t0 = _time.perf_counter()
         now = self.sim.now
         scoped = self.incremental and self._component_safe
         full = self._dirty_all or not scoped
-        incidence = self._incidence
-        order_key = self._order_key
-        seeds = incidence.links() if full else self._dirty_links
-        components = incidence.components(seeds, order_key)
-        changed: Dict[str, None] = {}
-        link_used = self._link_used
-        sched_cache = self._sched_cache
-        scheduler_of = self.policy.scheduler_of
-        n_flows_solved = 0
-        # Backend selection: the vector kernels win once a component
-        # (or the whole dirty batch, solved in one kernel invocation)
-        # is large enough to amortise array setup; tiny components
-        # keep the object solver and its exact numerics.
-        backend = self.solver_backend
-        total_flows = sum(len(cf) for cf, _ in components)
-        pool_all = backend == "vector" or (
-            backend == "auto" and total_flows >= self.vector_min_batch
+        comps = self._incidence.discover(
+            None if full else self._dirty_links
         )
-        vec_batch: List[KernelComponent] = []
-        # Rates are applied strictly in component-discovery order after
-        # every solve has finished, whichever backend produced them, so
-        # the apply/refresh sequence is independent of which components
-        # took the batched kernel path.
-        pending: List[
-            Tuple[List[Flow], Dict[str, List[Flow]], Optional[Dict[int, float]]]
-        ] = []
-        obj_elapsed = 0.0
-        table = self._table
-        for comp_flows, _comp_links in components:
-            table.sync_slots(
-                np.fromiter(
-                    (f._slot for f in comp_flows),
-                    dtype=np.int64,
-                    count=len(comp_flows),
-                ),
-                now,
-            )
-            on_link: Dict[str, List[Flow]] = {}
-            for flow in comp_flows:
-                for lid in flow.path:
-                    members = on_link.get(lid)
-                    if members is None:
-                        members = on_link[lid] = []
-                    members.append(flow)
-            schedulers: Dict[str, LinkScheduler] = {}
-            caps: Dict[str, float] = {}
-            for lid, members in on_link.items():
-                scheduler = sched_cache.get(lid)
-                if scheduler is None:
-                    scheduler = sched_cache[lid] = scheduler_of(lid)
-                schedulers[lid] = scheduler
-                caps[lid] = self._usable_capacity(
-                    lid, scheduler, members, scoped
-                )
-            n_flows_solved += len(comp_flows)
-            if backend != "object" and (
-                pool_all or len(comp_flows) >= self.vector_min_flows
-            ) and padded_cells(on_link) <= _PAD_CELL_LIMIT:
-                specs = component_specs(on_link, schedulers)
-                if specs is not None:
-                    vec_batch.append(
-                        KernelComponent(comp_flows, on_link, caps, specs)
-                    )
-                    pending.append((comp_flows, on_link, None))
-                    continue
-            ts = _time.perf_counter()
-            rates = solve_component(comp_flows, on_link, schedulers, caps)
-            obj_elapsed += _time.perf_counter() - ts
-            self.object_components += 1
-            pending.append((comp_flows, on_link, rates))
+        n_flows = sum(len(comp) for comp in comps)
+        self._table.sync_slots(
+            np.fromiter(
+                (flow._slot for comp in comps for flow in comp),
+                dtype=np.int64, count=n_flows,
+            ),
+            now,
+        )
+        backend = self.solver_backend
+        if backend == "object":
+            kernel_bound: List[List[Flow]] = []
+            object_bound = comps
+        elif backend == "vector" or n_flows >= VECTOR_MIN_BATCH:
+            kernel_bound = comps
+            object_bound = []
+        else:
+            kernel_bound = [c for c in comps if len(c) >= VECTOR_MIN_FLOWS]
+            object_bound = [c for c in comps if len(c) < VECTOR_MIN_FLOWS]
+        changed: Dict[str, None] = {}
         vec_elapsed = 0.0
-        batch_rates: Dict[int, float] = {}
-        if vec_batch:
-            ts = _time.perf_counter()
-            batch_rates = solve_batch(vec_batch)
-            vec_elapsed = _time.perf_counter() - ts
-            self.vector_components += len(vec_batch)
-        for comp_flows, on_link, rates_opt in pending:
-            self._apply_rates(
-                comp_flows, on_link,
-                batch_rates if rates_opt is None else rates_opt,
-                now, changed,
+        n_vec_comps = 0
+        if kernel_bound:
+            vec_elapsed, unsolved = self._solve_on_kernels(
+                kernel_bound, now, scoped, changed
             )
-        self.object_seconds += obj_elapsed
-        self.vector_seconds += vec_elapsed
+            n_vec_comps = len(kernel_bound) - len(unsolved)
+            object_bound = object_bound + unsolved
+        obj_elapsed = (
+            self._solve_on_objects(object_bound, now, scoped, changed)
+            if object_bound else 0.0
+        )
+        link_used = self._link_used
         # Dirty ports that no longer carry flows (last flow finished,
         # or a reconfigured idle port) drop to zero utilization.
         for lid in self._dirty_links:
@@ -727,6 +588,7 @@ class FluidFabric:
                 link_used[lid] = 0.0
                 changed[lid] = None
         if full:
+            incidence = self._incidence
             for lid, used in link_used.items():
                 if used != 0.0 and incidence.count(lid) == 0:
                     link_used[lid] = 0.0
@@ -735,10 +597,14 @@ class FluidFabric:
         self._dirty_all = False
         self._rates_dirty = False
         self.rate_recomputes += 1
-        self.components_solved += len(components)
-        self.flows_solved += n_flows_solved
+        self.components_solved += len(comps)
+        self.flows_solved += n_flows
+        self.vector_components += n_vec_comps
+        self.object_components += len(object_bound)
+        self.object_seconds += obj_elapsed
+        self.vector_seconds += vec_elapsed
         # Everything in the pipeline that is not a numeric solve is
-        # marshalling: component discovery, sync, view/caps/spec
+        # marshalling: component discovery, sync, view/CSR/caps/spec
         # assembly, rate scatter and accumulator upkeep.
         solve_elapsed = obj_elapsed + vec_elapsed
         pipeline_elapsed = _time.perf_counter() - t0
@@ -750,446 +616,10 @@ class FluidFabric:
         if obs.enabled:
             metrics = obs.metrics
             metrics.counter("fabric.rate_recomputes").inc()
-            metrics.counter("fabric.components_solved").inc(len(components))
+            metrics.counter("fabric.components_solved").inc(len(comps))
             size_hist = metrics.histogram("fabric.component_size")
-            for comp_flows, _comp_links in components:
-                size_hist.observe(len(comp_flows))
-            elapsed = pipeline_elapsed
-            metrics.histogram("fabric.solver_seconds").observe(elapsed)
-            metrics.histogram("fabric.solver_seconds.marshal").observe(
-                max(0.0, pipeline_elapsed - solve_elapsed)
-            )
-            metrics.histogram("fabric.solver_seconds.solve").observe(
-                solve_elapsed
-            )
-            if vec_batch:
-                metrics.histogram("fabric.solver_seconds.vector").observe(
-                    vec_elapsed
-                )
-                metrics.counter("fabric.vector_components").inc(
-                    len(vec_batch)
-                )
-            if obj_elapsed > 0.0:
-                metrics.histogram("fabric.solver_seconds.object").observe(
-                    obj_elapsed
-                )
-            obs.emit(
-                RATE_SOLVE, now, components=len(components),
-                flows=n_flows_solved, links=len(changed), full=full,
-                duration=elapsed, vector_components=len(vec_batch),
-            )
-            self._emit_port_utilization(changed)
-
-    def _members_of(self, batch: ComponentBatch, li: int) -> "_LinkMembers":
-        """One batch link's member Flow sequence (pair order), lazily.
-
-        Schedulers usually need only ``len()`` (capacity derating) or
-        nothing at all, so Flow objects resolve on access instead of
-        eagerly materialising 40 of them per link per recompute.
-        """
-        csr = batch.csr
-        return _LinkMembers(
-            batch.slots, csr.pair_flow,
-            int(csr.link_starts[li]), int(csr.link_counts[li]),
-            self._table.flow_of,
-        )
-
-    def _elementwise_entry(
-        self, scheduler: LinkScheduler, batch_flows: List[Flow],
-    ) -> Optional[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]]:
-        """One elementwise scheduler's spec over the batch flow axis.
-
-        Returns ``(kind code, per-flow group ids, per-flow weights)``,
-        or ``None`` when the scheduler has no kernel form.  Weight
-        values are computed exactly as the per-link extraction does
-        (``weights[q]`` per member), so gathering sublists from these
-        arrays reproduces the per-link arrays bit for bit.
-        """
-        extract = getattr(scheduler, "kernel_spec", None)
-        if extract is None:
-            return None
-        spec = extract(batch_flows)
-        if spec is None:
-            return None
-        skind, ids, weights = spec
-        if skind == "fair":
-            return (KIND_FAIR, None, None)
-        if skind == "wfq":
-            assert ids is not None and weights is not None
-            return (
-                KIND_WFQ,
-                np.asarray(ids, dtype=np.int64),
-                np.array([weights[q] for q in ids], dtype=np.float64),
-            )
-        if skind == "prio":
-            assert ids is not None
-            return (KIND_PRIO, np.asarray(ids, dtype=np.int64), None)
-        raise SimulationError(f"unknown kernel spec kind {skind!r}")
-
-    def _extract_specs(
-        self,
-        batch: ComponentBatch,
-        nonfair: List[Tuple[int, LinkScheduler]],
-        vec_comp: np.ndarray,
-        kind: np.ndarray,
-        qid: np.ndarray,
-        qweight: np.ndarray,
-    ) -> None:
-        """Fill the discipline arrays for non-uniform-fair links.
-
-        Elementwise schedulers (``kernel_spec_elementwise``: group id
-        and weight are pure functions of the flow) are extracted once
-        per scheduler instance over the whole batch flow axis and
-        gathered into the pair-axis arrays -- per-link group lists are
-        sublists of the per-flow mapping, so the values are identical
-        to per-link extraction.  Non-elementwise schedulers keep the
-        per-link ``kernel_spec`` call; a scheduler with no kernel form
-        demotes its component to the object solver, exactly as the
-        object-marshalled path does.
-        """
-        csr = batch.csr
-        slots = batch.slots
-        pair_flow = csr.pair_flow
-        link_starts = csr.link_starts
-        link_counts = csr.link_counts
-        comp_of_link = csr.comp_of_link
-        flow_of = self._table.flow_of
-        batch_flows: Optional[List[Flow]] = None
-
-        def all_flows() -> List[Flow]:
-            nonlocal batch_flows
-            if batch_flows is None:
-                batch_flows = []
-                for slot in slots.tolist():
-                    flow = flow_of[slot]
-                    assert flow is not None
-                    batch_flows.append(flow)
-            return batch_flows
-
-        # Fast path: every non-fair link shares one elementwise
-        # scheduler (the common policy shape -- a single WFQ/priority
-        # instance fabric-wide) -> whole-axis gathers, no per-link
-        # Python work.
-        first = nonfair[0][1]
-        if getattr(first, "kernel_spec_elementwise", False) and all(
-            sched is first for _, sched in nonfair
-        ):
-            entry = self._elementwise_entry(first, all_flows())
-            if entry is None:
-                for li, _ in nonfair:
-                    vec_comp[int(comp_of_link[li])] = False
-                return
-            kcode, flow_qid, flow_qw = entry
-            if kcode == KIND_FAIR:
-                return
-            if len(nonfair) == csr.n_links:
-                kind[:] = kcode
-                assert flow_qid is not None
-                qid[:] = flow_qid[pair_flow]
-                if flow_qw is not None:
-                    qweight[:] = flow_qw[pair_flow]
-            else:
-                lis = np.array([li for li, _ in nonfair], dtype=np.int64)
-                pos = _gather_ranges(link_starts[lis], link_counts[lis])
-                kind[lis] = kcode
-                assert flow_qid is not None
-                sub_pf = pair_flow[pos]
-                qid[pos] = flow_qid[sub_pf]
-                if flow_qw is not None:
-                    qweight[pos] = flow_qw[sub_pf]
-            return
-
-        cache: Dict[
-            int,
-            Optional[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]],
-        ] = {}
-        for li, scheduler in nonfair:
-            start = int(link_starts[li])
-            n = int(link_counts[li])
-            if getattr(scheduler, "kernel_spec_elementwise", False):
-                sid = id(scheduler)
-                if sid in cache:
-                    entry = cache[sid]
-                else:
-                    entry = self._elementwise_entry(scheduler, all_flows())
-                    cache[sid] = entry
-                if entry is None:
-                    vec_comp[int(comp_of_link[li])] = False
-                    continue
-                kcode, flow_qid, flow_qw = entry
-                if kcode == KIND_FAIR:
-                    continue
-                pf = pair_flow[start : start + n]
-                kind[li] = kcode
-                assert flow_qid is not None
-                qid[start : start + n] = flow_qid[pf]
-                if flow_qw is not None:
-                    qweight[start : start + n] = flow_qw[pf]
-                continue
-            extract = getattr(scheduler, "kernel_spec", None)
-            spec = (
-                extract(self._members_of(batch, li))
-                if extract is not None else None
-            )
-            if spec is None:
-                # A scheduler without a kernel form: this component
-                # falls back to the object solver.
-                vec_comp[int(comp_of_link[li])] = False
-                continue
-            skind, ids, weights = spec
-            if skind == "fair":
-                continue
-            if skind == "wfq":
-                assert ids is not None and weights is not None
-                kind[li] = KIND_WFQ
-                qid[start : start + n] = ids
-                qweight[start : start + n] = [weights[q] for q in ids]
-            elif skind == "prio":
-                assert ids is not None
-                kind[li] = KIND_PRIO
-                qid[start : start + n] = ids
-            else:  # pragma: no cover
-                raise SimulationError(
-                    f"unknown kernel spec kind {skind!r}"
-                )
-
-    def _recompute_array(self) -> None:
-        """Array-native recompute: the :class:`ArrayIncidence` twin of
-        :meth:`recompute_rates`.
-
-        Discovery, CSR assembly and the rate scatter are gathers over
-        the incidence's persistent axes; Python object materialisation
-        happens only where the object contract genuinely needs it
-        (capacity-cache misses, per-link kernel-spec extraction for
-        non-uniform disciplines, and components solved by the object
-        solver).  Orderings -- components by earliest flow, flows by
-        start sequence, links by first use, members in start order --
-        are identical to the object path, so per-flow results match
-        the object-marshalled kernels bit for bit.
-        """
-        obs = self.observer
-        t0 = _time.perf_counter()
-        now = self.sim.now
-        scoped = self.incremental and self._component_safe
-        full = self._dirty_all or not scoped
-        incidence = self._incidence
-        assert isinstance(incidence, ArrayIncidence)
-        table = self._table
-        link_used = self._link_used
-        changed: Dict[str, None] = {}
-        batch = incidence.batch(
-            None if full else list(self._dirty_links)
-        )
-        comp_sizes = np.zeros(0, dtype=np.int64)
-        obj_elapsed = 0.0
-        vec_elapsed = 0.0
-        n_comps = 0
-        n_flows_solved = 0
-        n_vec_comps = 0
-        if batch is not None:
-            csr = batch.csr
-            n_comps = batch.n_comps
-            n_flows_solved = csr.n_flows
-            slots = batch.slots
-            table.sync_slots(slots, now)
-            comp_sizes = batch.comp_flow_counts()
-            # ---- marshal: caps, disciplines, backend choice ----------
-            backend = self.solver_backend
-            pool_all = backend == "vector" or (
-                backend == "auto"
-                and n_flows_solved >= self.vector_min_batch
-            )
-            if backend == "object":
-                vec_comp = np.zeros(n_comps, dtype=bool)
-            else:
-                vec_comp = np.logical_or(
-                    pool_all, comp_sizes >= self.vector_min_flows
-                ) & (batch.padded_cells_per_comp() <= _PAD_CELL_LIMIT)
-            n_links = csr.n_links
-            gis = batch.link_axis.tolist()
-            link_ids = incidence.link_ids
-            lids = [link_ids[gi] for gi in gis]
-            kind = np.zeros(n_links, dtype=np.int8)
-            qid = np.zeros(csr.n_pairs, dtype=np.int64)
-            qweight = np.zeros(csr.n_pairs)
-            comp_of_link = csr.comp_of_link
-            link_counts = csr.link_counts
-            link_starts = csr.link_starts
-            sched_cache = self._sched_cache
-            scheduler_of = self.policy.scheduler_of
-            caps_cache = self._caps_cache
-            dirty = self._dirty_links
-            link_states = self.topology.link_states
-            port_table = self.topology.port_table
-            pair_flow = csr.pair_flow
-            flow_of = table.flow_of
-            # Per-interned-link scheduler cache: plain list indexing in
-            # the hot loop instead of a dict probe plus a getattr.
-            sched_by_gi = self._sched_by_gi
-            fair_by_gi = self._fair_by_gi
-            if len(sched_by_gi) < len(link_ids):
-                pad = len(link_ids) - len(sched_by_gi)
-                sched_by_gi.extend([None] * pad)
-                fair_by_gi.extend([False] * pad)
-            caps_list = [0.0] * n_links
-            cols = comp_of_link.tolist()
-            vec_list = vec_comp.tolist()
-            comp_fair_list = [True] * n_comps
-            nonfair: List[Tuple[int, LinkScheduler]] = []
-            for li in range(n_links):
-                lid = lids[li]
-                gi = gis[li]
-                scheduler = sched_by_gi[gi]
-                if scheduler is None:
-                    scheduler = sched_cache.get(lid)
-                    if scheduler is None:
-                        scheduler = sched_cache[lid] = scheduler_of(lid)
-                    sched_by_gi[gi] = scheduler
-                    fair_by_gi[gi] = bool(
-                        getattr(scheduler, "uniform_fair", False)
-                    )
-                state = link_states[lid]
-                key = (port_table(lid).generation, state.throttle)
-                usable = None
-                if scoped and lid not in dirty:
-                    cached = caps_cache.get(lid)
-                    if cached is not None and cached[0] == key:
-                        usable = cached[1]
-                if usable is None:
-                    n = int(link_counts[li])
-                    usable = scheduler.usable_capacity(
-                        state.effective_capacity(n),
-                        _LinkMembers(
-                            slots, pair_flow, int(link_starts[li]), n,
-                            flow_of,
-                        ),
-                    )
-                    if scoped:
-                        caps_cache[lid] = (key, usable)
-                caps_list[li] = usable
-                if not vec_list[cols[li]]:
-                    continue
-                if fair_by_gi[gi]:
-                    continue
-                comp_fair_list[cols[li]] = False
-                nonfair.append((li, scheduler))
-            caps = np.asarray(caps_list)
-            comp_fair = np.asarray(comp_fair_list, dtype=bool)
-            if nonfair:
-                self._extract_specs(
-                    batch, nonfair, vec_comp, kind, qid, qweight,
-                )
-            # ---- solve: kernels on vector comps, objects on the rest
-            rates = np.zeros(n_flows_solved)
-            vec_idx = np.nonzero(vec_comp)[0]
-            if len(vec_idx):
-                fair_sel = vec_idx[comp_fair[vec_idx]]
-                mixed_sel = vec_idx[~comp_fair[vec_idx]]
-                for sel, disciplines in (
-                    (fair_sel, False), (mixed_sel, True),
-                ):
-                    if not len(sel):
-                        continue
-                    if len(sel) == n_comps:
-                        sub = batch
-                        sub_caps = caps
-                        sub_kind, sub_qid, sub_qw = kind, qid, qweight
-                    else:
-                        sub = batch.select(sel)
-                        assert sub.parent_link_idx is not None
-                        assert sub.parent_pair_idx is not None
-                        sub_caps = caps[sub.parent_link_idx]
-                        sub_kind = kind[sub.parent_link_idx]
-                        sub_qid = qid[sub.parent_pair_idx]
-                        sub_qw = qweight[sub.parent_pair_idx]
-                    prepared = PreparedBatch(
-                        csr=sub.csr,
-                        caps=sub_caps,
-                        limit=table.limit[sub.slots],
-                        kind=sub_kind if disciplines else None,
-                        qid=sub_qid if disciplines else None,
-                        qweight=sub_qw if disciplines else None,
-                    )
-                    ts = _time.perf_counter()
-                    solved = (
-                        solve_residual_prepared(prepared)
-                        if disciplines
-                        else solve_maxmin_prepared(prepared)
-                    )
-                    vec_elapsed += _time.perf_counter() - ts
-                    if sub is batch:
-                        rates = solved
-                    else:
-                        assert sub.parent_flow_idx is not None
-                        rates[sub.parent_flow_idx] = solved
-                n_vec_comps = len(vec_idx)
-                self.vector_components += n_vec_comps
-            flow_of = table.flow_of
-            for ci in np.nonzero(~vec_comp)[0].tolist():
-                comp_flows = batch.comp_flows(ci)
-                on_link = batch.comp_on_link(ci)
-                schedulers = {
-                    lid: sched_cache[lid] for lid in on_link
-                }
-                ls, le = batch.link_slice(ci)
-                comp_caps = {
-                    lids[li]: float(caps[li]) for li in range(ls, le)
-                }
-                ts = _time.perf_counter()
-                comp_rates = solve_component(
-                    comp_flows, on_link, schedulers, comp_caps
-                )
-                obj_elapsed += _time.perf_counter() - ts
-                self.object_components += 1
-                fs, fe = batch.flow_slice(ci)
-                for i in range(fs, fe):
-                    flow = flow_of[slots[i]]
-                    assert flow is not None
-                    rates[i] = comp_rates.get(flow.flow_id, 0.0)
-            # ---- scatter-apply ---------------------------------------
-            table.rate[slots] = rates
-            table.update_finish(slots, now)
-            # Per-link usage totals: sequential within-segment sums,
-            # the same accumulation order as the object apply loop.
-            used_now = np.add.reduceat(
-                rates[csr.pair_flow], link_starts
-            )
-            for li in range(n_links):
-                lid = lids[li]
-                link_used[lid] = float(used_now[li])
-                changed[lid] = None
-        # ---- shared epilogue (mirrors the object recompute) ----------
-        for lid in self._dirty_links:
-            if lid not in changed and link_used.get(lid, 0.0) != 0.0:
-                link_used[lid] = 0.0
-                changed[lid] = None
-        if full:
-            for lid, used in link_used.items():
-                if used != 0.0 and incidence.count(lid) == 0:
-                    link_used[lid] = 0.0
-                    changed[lid] = None
-        self._dirty_links.clear()
-        self._dirty_all = False
-        self._rates_dirty = False
-        self.rate_recomputes += 1
-        self.components_solved += n_comps
-        self.flows_solved += n_flows_solved
-        solve_elapsed = obj_elapsed + vec_elapsed
-        pipeline_elapsed = _time.perf_counter() - t0
-        self.solve_seconds += solve_elapsed
-        self.marshal_seconds += max(0.0, pipeline_elapsed - solve_elapsed)
-        self.object_seconds += obj_elapsed
-        self.vector_seconds += vec_elapsed
-        if self.validate:
-            self._check_invariants(list(self._active.values()))
-        self._sample_network_telemetry(changed)
-        if obs.enabled:
-            metrics = obs.metrics
-            metrics.counter("fabric.rate_recomputes").inc()
-            metrics.counter("fabric.components_solved").inc(n_comps)
-            size_hist = metrics.histogram("fabric.component_size")
-            for size in comp_sizes.tolist():
-                size_hist.observe(size)
+            for comp in comps:
+                size_hist.observe(len(comp))
             metrics.histogram("fabric.solver_seconds").observe(
                 pipeline_elapsed
             )
@@ -1211,39 +641,96 @@ class FluidFabric:
                     obj_elapsed
                 )
             obs.emit(
-                RATE_SOLVE, now, components=n_comps,
-                flows=n_flows_solved, links=len(changed), full=full,
+                RATE_SOLVE, now, components=len(comps),
+                flows=n_flows, links=len(changed), full=full,
                 duration=pipeline_elapsed, vector_components=n_vec_comps,
             )
             self._emit_port_utilization(changed)
 
-    def _apply_rates(
+    def _solve_on_kernels(
         self,
-        comp_flows: Sequence[Flow],
-        on_link: Mapping[str, Sequence[Flow]],
-        rates: Mapping[int, float],
+        comps: List[List[Flow]],
         now: float,
+        use_cache: bool,
         changed: Dict[str, None],
-    ) -> None:
-        """Scatter one component's solved rates back onto its flows
-        and refresh the per-link usage totals."""
-        link_used = self._link_used
-        for flow in comp_flows:
-            flow.rate = rates.get(flow.flow_id, 0.0)
-        self._table.update_finish(
-            np.fromiter(
-                (f._slot for f in comp_flows),
-                dtype=np.int64,
-                count=len(comp_flows),
-            ),
-            now,
+    ) -> Tuple[float, List[List[Flow]]]:
+        """Solve ``comps`` in one kernel batch and apply the rates.
+
+        Returns the seconds spent in the kernels and the components
+        they left unsolved (no kernel form, or too large to pad), in
+        discovery order, for the object solver.
+        """
+        batch = self._incidence.batch(comps)
+        csr = batch.csr
+        slots = batch.slots
+        lids = batch.link_ids()
+        schedulers, caps = self._link_capacities(
+            lids, batch.members, use_cache
         )
-        for lid, members in on_link.items():
-            used = 0.0
-            for flow in members:
-                used += flow.rate
-            link_used[lid] = used
-            changed[lid] = None
+        rates, solved, elapsed = solve_components(
+            batch, np.asarray(caps), schedulers
+        )
+        done = solved[csr.comp_of_flow]
+        self._table.rate[slots[done]] = rates[done]
+        self._table.update_finish(slots[done], now)
+        # Per-link usage totals: within-segment sums in member order.
+        used_now = np.add.reduceat(rates[csr.pair_flow], csr.link_starts)
+        link_used = self._link_used
+        for lid, used, ok in zip(
+            lids, used_now.tolist(), solved[csr.comp_of_link].tolist()
+        ):
+            if ok:
+                link_used[lid] = used
+                changed[lid] = None
+        unsolved = [comps[ci] for ci in np.flatnonzero(~solved).tolist()]
+        return elapsed, unsolved
+
+    def _solve_on_objects(
+        self,
+        comps: List[List[Flow]],
+        now: float,
+        use_cache: bool,
+        changed: Dict[str, None],
+    ) -> float:
+        """Solve ``comps`` one by one with the object solver and apply
+        the rates; returns the seconds spent solving."""
+        link_used = self._link_used
+        elapsed = 0.0
+        slots: List[int] = []
+        rates_out: List[float] = []
+        for comp_flows in comps:
+            # Links in first-use order over start-ordered flows,
+            # members in start order: the solver's accumulation order.
+            on_link: Dict[str, List[Flow]] = {}
+            for flow in comp_flows:
+                for lid in flow.path:
+                    members = on_link.get(lid)
+                    if members is None:
+                        members = on_link[lid] = []
+                    members.append(flow)
+            lids = list(on_link)
+            sched_list, caps_list = self._link_capacities(
+                lids, list(on_link.values()).__getitem__, use_cache
+            )
+            ts = _time.perf_counter()
+            rates = solve_component(
+                comp_flows, on_link, dict(zip(lids, sched_list)),
+                dict(zip(lids, caps_list)),
+            )
+            elapsed += _time.perf_counter() - ts
+            for flow in comp_flows:
+                slots.append(flow._slot)
+                rates_out.append(rates.get(flow.flow_id, 0.0))
+            for lid, members in on_link.items():
+                used = 0.0
+                for flow in members:
+                    used += rates.get(flow.flow_id, 0.0)
+                link_used[lid] = used
+                changed[lid] = None
+        idx = np.asarray(slots, dtype=np.int64)
+        self._table.rate[idx] = rates_out
+        self._table.update_finish(idx, now)
+        return elapsed
 
     def _order_key(self, flow: Flow) -> int:
         return flow._seq

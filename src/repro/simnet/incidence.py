@@ -1,14 +1,18 @@
 """Flow↔link incidence and congestion components.
 
-The fabric keeps a persistent index of which flows traverse which
-links, maintained on flow start/finish, instead of rebuilding
-``on_link`` maps inside every solver call.  Transitive sharing of
-links partitions the active flows into *congestion components*:
-max-min, WFQ and strict-priority allocations all decompose exactly
-over link-disjoint components (no capacity, queue or scheduler state
-crosses a component boundary), so an event only requires re-solving
-the component it disturbs.  DESIGN.md section 5d states the
-decomposition argument and its exactness conditions.
+The fabric keeps one persistent index of which flows traverse which
+links, :class:`ArrayIncidence`, maintained on flow start/finish
+instead of rebuilding ``on_link`` maps inside every solver call.
+Transitive sharing of links partitions the active flows into
+*congestion components*: max-min, WFQ and strict-priority allocations
+all decompose exactly over link-disjoint components (no capacity,
+queue or scheduler state crosses a component boundary), so an event
+only requires re-solving the component it disturbs.  DESIGN.md
+section 5d states the decomposition argument and its exactness
+conditions.
+
+:func:`split_components` is the index-free partition used by the
+full-solve oracle (:func:`repro.simnet.fairness.network_rates`).
 
 Determinism: every ordering here derives from insertion order (flow
 start order) or an explicit sort key -- never from hash-randomised
@@ -18,16 +22,14 @@ start order) or an explicit sort key -- never from hash-randomised
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
-    Tuple,
 )
 
 import numpy as np
@@ -36,6 +38,9 @@ from repro.simnet.flows import Flow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simnet.flowtable import FlowTable
+
+#: Start-sequence sort key: every "in start order" guarantee.
+_start_order = attrgetter("_seq")
 
 
 def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -58,103 +63,6 @@ def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
     if len(counts) > 1:
         np.cumsum(counts[:-1], out=out[1:])
     return out
-
-
-class FlowIncidence:
-    """Persistent link -> {flow_id -> Flow} index of active flows.
-
-    Per-link flow maps are insertion-ordered dicts, so iterating a
-    link's flows visits them in start order -- the same order the
-    solver sees, which keeps floating-point accumulation identical to
-    a from-scratch build.
-    """
-
-    def __init__(self) -> None:
-        self._by_link: Dict[str, Dict[int, Flow]] = {}
-
-    def add(self, flow: Flow) -> None:
-        """Index ``flow`` under every link of its path."""
-        by_link = self._by_link
-        for lid in flow.path:
-            entry = by_link.get(lid)
-            if entry is None:
-                entry = by_link[lid] = {}
-            entry[flow.flow_id] = flow
-
-    def remove(self, flow: Flow) -> None:
-        """Drop ``flow`` from every link of its path."""
-        by_link = self._by_link
-        for lid in flow.path:
-            entry = by_link.get(lid)
-            if entry is None:
-                continue
-            entry.pop(flow.flow_id, None)
-            if not entry:
-                del by_link[lid]
-
-    def links(self) -> Iterable[str]:
-        """Link ids currently carrying flows, in first-use order."""
-        return self._by_link.keys()
-
-    def flows_on(self, link_id: str) -> Iterable[Flow]:
-        """Flows traversing ``link_id``, in start order."""
-        entry = self._by_link.get(link_id)
-        return entry.values() if entry is not None else ()
-
-    def count(self, link_id: str) -> int:
-        """Number of active flows on ``link_id``."""
-        entry = self._by_link.get(link_id)
-        return len(entry) if entry is not None else 0
-
-    def remap(self, slot_map: np.ndarray) -> None:
-        """Flow-table slot renumbering: nothing to do here.
-
-        The object index references flows by identity, not slot; the
-        array-native index overrides this to translate its slot
-        arrays.
-        """
-
-    def components(
-        self,
-        seed_links: Iterable[str],
-        order_key: Callable[[Flow], int],
-    ) -> List[Tuple[List[Flow], List[str]]]:
-        """Congestion components reachable from ``seed_links``.
-
-        Breadth-first search over shared links; each component's flows
-        are returned sorted by ``order_key`` (the fabric passes the
-        flow start sequence, i.e. active-dict order) and components
-        themselves are ordered by their earliest flow, so the result
-        is independent of the seed set that discovered them.
-        """
-        by_link = self._by_link
-        visited_links: set = set()
-        visited_flows: set = set()
-        components: List[Tuple[List[Flow], List[str]]] = []
-        for seed in seed_links:
-            if seed in visited_links or seed not in by_link:
-                continue
-            visited_links.add(seed)
-            comp_flows: List[Flow] = []
-            comp_links: List[str] = [seed]
-            frontier = [seed]
-            while frontier:
-                lid = frontier.pop()
-                for flow in by_link[lid].values():
-                    fid = flow.flow_id
-                    if fid in visited_flows:
-                        continue
-                    visited_flows.add(fid)
-                    comp_flows.append(flow)
-                    for other in flow.path:
-                        if other not in visited_links:
-                            visited_links.add(other)
-                            comp_links.append(other)
-                            frontier.append(other)
-            comp_flows.sort(key=order_key)
-            components.append((comp_flows, comp_links))
-        components.sort(key=lambda c: order_key(c[0][0]))
-        return components
 
 
 def split_components(flows: Sequence[Flow]) -> List[List[Flow]]:
@@ -218,11 +126,7 @@ class BatchCSR:
       each component inside the flow / link axes.
 
     Built once per solve; all per-round solver state lives in flat
-    arrays indexed by these.  ``flows`` / ``link_ids`` materialize the
-    two axes as objects for the object-level ``flow_id -> rate``
-    contract; the array-native incidence leaves them ``None`` (its
-    callers work in slot/interned-link space throughout), so counts
-    derive from the segment-offset arrays.
+    arrays indexed by these.
     """
 
     comp_of_flow: np.ndarray
@@ -236,8 +140,6 @@ class BatchCSR:
     flow_perm: np.ndarray
     flow_starts: np.ndarray
     flow_counts: np.ndarray
-    flows: Optional[List[Flow]] = None
-    link_ids: Optional[List[str]] = None
 
     @property
     def n_flows(self) -> int:
@@ -252,84 +154,72 @@ class BatchCSR:
         return len(self.pair_flow)
 
 
-def build_batch_csr(
-    components: Sequence[Tuple[Sequence[Flow], Mapping[str, Sequence[Flow]]]],
-) -> BatchCSR:
-    """Flatten ``(flows, on_link)`` components into one :class:`BatchCSR`.
+class _LinkMembers(Sequence):
+    """Lazy ``Sequence[Flow]`` over one batch link's pairs.
 
-    ``on_link`` iteration order defines the link axis and each link's
-    member order defines its pair segment, mirroring exactly what the
-    object solver would see -- the kernels rely on this to reproduce
-    its floating-point accumulation order.  Every component must be
-    closed (each member's path links all present in its ``on_link``)
-    and non-empty.
+    Element ``i`` is the flow bound to slot ``slots[pair_flow[start +
+    i]]``, so iteration follows pair order -- start order, exactly the
+    member lists the object solver sees -- while schedulers that need
+    only ``len()`` (capacity derating) never materialise a Flow.
     """
-    flows: List[Flow] = []
-    link_ids: List[str] = []
-    comp_of_flow: List[int] = []
-    comp_of_link: List[int] = []
-    comp_flow_starts: List[int] = []
-    comp_link_starts: List[int] = []
-    pair_flow: List[int] = []
-    pair_link: List[int] = []
-    link_starts: List[int] = []
-    for ci, (comp_flows, on_link) in enumerate(components):
-        comp_flow_starts.append(len(flows))
-        comp_link_starts.append(len(link_ids))
-        idx_of = {f.flow_id: len(flows) + i for i, f in enumerate(comp_flows)}
-        flows.extend(comp_flows)
-        comp_of_flow.extend([ci] * len(comp_flows))
-        for lid, members in on_link.items():
-            li = len(link_ids)
-            link_ids.append(lid)
-            comp_of_link.append(ci)
-            link_starts.append(len(pair_flow))
-            for f in members:
-                pair_flow.append(idx_of[f.flow_id])
-                pair_link.append(li)
-    pf = np.asarray(pair_flow, dtype=np.int64)
-    pl = np.asarray(pair_link, dtype=np.int64)
-    starts = np.asarray(link_starts, dtype=np.int64)
-    counts = np.diff(np.append(starts, len(pf)))
-    # Stable sort by flow groups each flow's pairs contiguously while
-    # preserving link-major order within a flow's segment.
-    perm = np.argsort(pf, kind="stable")
-    flow_counts = np.bincount(pf, minlength=len(flows)).astype(np.int64)
-    flow_starts = np.concatenate(
-        ([0], np.cumsum(flow_counts)[:-1])
-    ).astype(np.int64)
-    return BatchCSR(
-        flows=flows,
-        link_ids=link_ids,
-        comp_of_flow=np.asarray(comp_of_flow, dtype=np.int64),
-        comp_of_link=np.asarray(comp_of_link, dtype=np.int64),
-        comp_flow_starts=np.asarray(comp_flow_starts, dtype=np.int64),
-        comp_link_starts=np.asarray(comp_link_starts, dtype=np.int64),
-        pair_flow=pf,
-        pair_link=pl,
-        link_starts=starts,
-        link_counts=counts.astype(np.int64),
-        flow_perm=perm,
-        flow_starts=flow_starts,
-        flow_counts=flow_counts,
-    )
+
+    __slots__ = ("_slots", "_pair_flow", "_start", "_n", "_flow_of")
+
+    def __init__(
+        self,
+        slots: np.ndarray,
+        pair_flow: np.ndarray,
+        start: int,
+        n: int,
+        flow_of: List[Optional[Flow]],
+    ) -> None:
+        self._slots = slots
+        self._pair_flow = pair_flow
+        self._start = start
+        self._n = n
+        self._flow_of = flow_of
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._n))]
+        if index < 0:
+            index += self._n
+        if not 0 <= index < self._n:
+            raise IndexError(index)
+        flow = self._flow_of[
+            int(self._slots[self._pair_flow[self._start + index]])
+        ]
+        assert flow is not None
+        return flow
+
+    def __iter__(self):
+        flow_of = self._flow_of
+        member_slots = self._slots[
+            self._pair_flow[self._start : self._start + self._n]
+        ].tolist()
+        for slot in member_slots:
+            flow = flow_of[slot]
+            assert flow is not None
+            yield flow
 
 
 @dataclass
 class ComponentBatch:
-    """Array-native congestion components discovered in one recompute.
+    """Congestion components flattened for one kernel invocation.
 
-    The flow axis is the concatenation of every discovered component's
-    flows (components ordered by earliest flow, flows by start
-    sequence within a component); ``slots`` maps it to
+    The flow axis is the concatenation of the components' flows
+    (components ordered by earliest flow, flows by start sequence
+    within a component); ``slots`` maps it to
     :class:`~repro.simnet.flowtable.FlowTable` rows.  The link axis is
-    in first-use order over the flow axis -- the order the object
-    recompute path discovers links when it walks each flow's path --
-    and ``link_axis`` maps it to the incidence's interned link ids.
-    ``csr`` carries the same pair structure :func:`build_batch_csr`
-    produces for the object components (``flows``/``link_ids`` left
-    ``None``): link-major pairs with members in start order, so the
-    kernels' accumulation order is unchanged.
+    in first-use order over the flow axis -- the order in which
+    walking each flow's path discovers links, i.e. the ``on_link``
+    order the object solver sees -- and ``link_axis`` maps it to the
+    incidence's interned link ids.  ``csr`` holds link-major pairs
+    with members in start order, so the kernels accumulate in the
+    object solver's order.
     """
 
     csr: BatchCSR
@@ -339,7 +229,7 @@ class ComponentBatch:
     #: On a :meth:`select` sub-batch: indices into the parent batch's
     #: flow / link / pair axes (for gathering parent-axis side arrays
     #: such as capacities and discipline codes).  ``None`` on a batch
-    #: fresh from discovery.
+    #: fresh from :meth:`ArrayIncidence.batch`.
     parent_flow_idx: Optional[np.ndarray] = None
     parent_link_idx: Optional[np.ndarray] = None
     parent_pair_idx: Optional[np.ndarray] = None
@@ -366,57 +256,18 @@ class ComponentBatch:
         )
         return self.comp_link_counts() * max_members
 
-    # -- object materialisation (spec extraction, object-solver comps) -----
+    def link_ids(self) -> List[str]:
+        """The link axis as link ids."""
+        ids = self.incidence.link_ids
+        return [ids[gi] for gi in self.link_axis.tolist()]
 
-    def flow_slice(self, ci: int) -> Tuple[int, int]:
+    def members(self, li: int) -> _LinkMembers:
+        """Batch link ``li``'s member flows, in start order."""
         csr = self.csr
-        start = int(csr.comp_flow_starts[ci])
-        end = (
-            int(csr.comp_flow_starts[ci + 1])
-            if ci + 1 < len(csr.comp_flow_starts)
-            else csr.n_flows
+        return _LinkMembers(
+            self.slots, csr.pair_flow, int(csr.link_starts[li]),
+            int(csr.link_counts[li]), self.incidence.table.flow_of,
         )
-        return start, end
-
-    def link_slice(self, ci: int) -> Tuple[int, int]:
-        csr = self.csr
-        start = int(csr.comp_link_starts[ci])
-        end = (
-            int(csr.comp_link_starts[ci + 1])
-            if ci + 1 < len(csr.comp_link_starts)
-            else csr.n_links
-        )
-        return start, end
-
-    def comp_flows(self, ci: int) -> List[Flow]:
-        flow_of = self.incidence.table.flow_of
-        start, end = self.flow_slice(ci)
-        out: List[Flow] = []
-        for slot in self.slots[start:end]:
-            flow = flow_of[slot]
-            assert flow is not None
-            out.append(flow)
-        return out
-
-    def link_id(self, li: int) -> str:
-        return self.incidence.link_ids[int(self.link_axis[li])]
-
-    def comp_on_link(self, ci: int) -> Dict[str, List[Flow]]:
-        """One component's ``link id -> members`` map, object order."""
-        csr = self.csr
-        flow_of = self.incidence.table.flow_of
-        slots = self.slots
-        ls, le = self.link_slice(ci)
-        pe = np.append(csr.link_starts, csr.n_pairs)
-        on_link: Dict[str, List[Flow]] = {}
-        for li in range(ls, le):
-            members: List[Flow] = []
-            for p in range(int(pe[li]), int(pe[li + 1])):
-                flow = flow_of[slots[csr.pair_flow[p]]]
-                assert flow is not None
-                members.append(flow)
-            on_link[self.link_id(li)] = members
-        return on_link
 
     def select(self, comp_idx: np.ndarray) -> "ComponentBatch":
         """A new batch containing only the given components (in order).
@@ -482,16 +333,14 @@ class ComponentBatch:
 
 
 class ArrayIncidence:
-    """Structure-of-arrays flow<->link index with batched discovery.
+    """Structure-of-arrays flow<->link index of the active flows.
 
-    The array-native twin of :class:`FlowIncidence`: the same add /
-    remove / flows_on / count / components contract, but all state
-    lives in flat numpy buffers keyed by interned link index and
-    :class:`~repro.simnet.flowtable.FlowTable` slot, and component
-    discovery (:meth:`batch`) is a stamped level-synchronous BFS plus
-    a vectorized label propagation that emits kernel-ready
-    :class:`ComponentBatch` views directly -- no per-flow Python in
-    the hot path.
+    All state lives in flat numpy buffers keyed by interned link index
+    and :class:`~repro.simnet.flowtable.FlowTable` slot.
+    :meth:`discover` walks it to find the congestion components a
+    recompute must re-solve, and :meth:`batch` flattens the components
+    bound for the vector kernels into a :class:`ComponentBatch` with
+    vectorized gathers -- no per-pair Python on that path.
 
     Layout.  Per interned link, a segment of the flat adjacency
     buffers ``_adj_slot`` / ``_adj_k`` (member slot, and that member's
@@ -510,9 +359,10 @@ class ArrayIncidence:
     Ordering contract: paths are simple (no repeated link -- BFS
     shortest paths guarantee this) and every ordering exposed --
     members in start-sequence order, links in first-use order over
-    seq-sorted flows, components by earliest flow -- matches what the
-    object recompute path derives, so solver accumulation order and
-    hence floating-point results are identical.
+    seq-sorted flows, components by earliest flow -- is a function of
+    the active flows alone (never of slot numbers, seed order or
+    removal history), so solver accumulation order and hence
+    floating-point results are reproducible.
     """
 
     def __init__(self, table: "FlowTable") -> None:
@@ -523,22 +373,18 @@ class ArrayIncidence:
         self._adj_start = np.zeros(64, dtype=np.int64)
         self._adj_count = np.zeros(64, dtype=np.int64)
         self._adj_cap = np.zeros(64, dtype=np.int64)
-        self._link_stamp = np.zeros(64, dtype=np.int64)
         self._adj_slot = np.zeros(1024, dtype=np.int64)
         self._adj_k = np.zeros(1024, dtype=np.int64)
         self._adj_tail = 0
         self._adj_live_cap = 0
-        self._pairs = 0
         # -- per table slot: path segment descriptors ------------------
         cap = max(16, table.capacity)
         self._path_start = np.zeros(cap, dtype=np.int64)
         self._path_len = np.zeros(cap, dtype=np.int64)
-        self._slot_stamp = np.zeros(cap, dtype=np.int64)
         self._path_buf = np.zeros(1024, dtype=np.int64)
         self._path_pos = np.zeros(1024, dtype=np.int64)
         self._path_tail = 0
         self._path_live = 0
-        self._round = 0
 
     # -- buffer management -------------------------------------------------
 
@@ -550,7 +396,7 @@ class ArrayIncidence:
         new = len(self._path_start)
         while new < cap:
             new *= 2
-        for name in ("_path_start", "_path_len", "_slot_stamp"):
+        for name in ("_path_start", "_path_len"):
             arr: np.ndarray = getattr(self, name)
             grown = np.zeros(new, dtype=np.int64)
             grown[: len(arr)] = arr
@@ -626,9 +472,7 @@ class ArrayIncidence:
         self.link_ids.append(lid)
         if idx >= len(self._adj_start):
             new = 2 * len(self._adj_start)
-            for name in (
-                "_adj_start", "_adj_count", "_adj_cap", "_link_stamp"
-            ):
+            for name in ("_adj_start", "_adj_count", "_adj_cap"):
                 arr: np.ndarray = getattr(self, name)
                 grown = np.zeros(new, dtype=np.int64)
                 grown[: len(arr)] = arr
@@ -660,7 +504,7 @@ class ArrayIncidence:
         self._adj_tail += new_cap
         self._adj_live_cap += new_cap - cap
 
-    # -- FlowIncidence contract --------------------------------------------
+    # -- maintenance and queries -------------------------------------------
 
     def add(self, flow: Flow) -> None:
         """Index a table-bound flow under every link of its path."""
@@ -671,7 +515,7 @@ class ArrayIncidence:
             )
         if self.table.capacity > len(self._path_start):
             self._sync_slots()
-        if self._path_len[slot] != 0:
+        if self._path_len.item(slot) != 0:
             self.remove(flow)
         path = flow.path
         k_len = len(path)
@@ -679,12 +523,12 @@ class ArrayIncidence:
             return
         self._ensure_path(k_len)
         ps = self._path_tail
+        # Localised hot loop: numpy scalar access dominates add(), so
+        # reads go through ``item`` (no numpy scalar boxing).  The
+        # locals must be re-fetched after _intern/_grow_segment, either
+        # of which can compact or reallocate the adjacency buffers.
         path_buf = self._path_buf
         path_pos = self._path_pos
-        # Localised hot loop: numpy scalar indexing through ``self.``
-        # attribute chains dominates add() at hyperscale.  The locals
-        # must be re-fetched after _intern/_grow_segment, either of
-        # which can compact or reallocate the adjacency buffers.
         link_get = self._link_index.get
         adj_start = self._adj_start
         adj_count = self._adj_count
@@ -701,13 +545,13 @@ class ArrayIncidence:
                 adj_cap = self._adj_cap
                 adj_slot = self._adj_slot
                 adj_k = self._adj_k
-            cnt = int(adj_count[li])
-            if cnt == adj_cap[li]:
+            cnt = adj_count.item(li)
+            if cnt == adj_cap.item(li):
                 self._grow_segment(li)
                 adj_start = self._adj_start
                 adj_slot = self._adj_slot
                 adj_k = self._adj_k
-            pos = int(adj_start[li]) + cnt
+            pos = adj_start.item(li) + cnt
             adj_slot[pos] = slot
             adj_k[pos] = k
             adj_count[li] = cnt + 1
@@ -717,22 +561,21 @@ class ArrayIncidence:
         self._path_len[slot] = k_len
         self._path_tail = ps + k_len
         self._path_live += k_len
-        self._pairs += k_len
 
     def remove(self, flow: Flow) -> None:
         """Drop a flow from every link of its (indexed) path.
 
         Uses the path as indexed at add time, so callers may mutate
         ``flow.path`` after removal (reroute) without confusing the
-        index.  Idempotent, like the object implementation.
+        index.  Idempotent.
         """
         slot = flow._slot
         if slot < 0 or slot >= len(self._path_len):
             return
-        k_len = int(self._path_len[slot])
+        k_len = self._path_len.item(slot)
         if k_len == 0:
             return
-        ps = int(self._path_start[slot])
+        ps = self._path_start.item(slot)
         adj_start = self._adj_start
         adj_count = self._adj_count
         adj_slot = self._adj_slot
@@ -741,29 +584,23 @@ class ArrayIncidence:
         path_pos = self._path_pos
         path_start = self._path_start
         for k in range(ps, ps + k_len):
-            li = int(path_buf[k])
-            p = int(path_pos[k])
-            start = int(adj_start[li])
-            last = int(adj_count[li]) - 1
+            li = path_buf.item(k)
+            p = path_pos.item(k)
+            start = adj_start.item(li)
+            last = adj_count.item(li) - 1
             adj_count[li] = last
             if p != last:
-                moved_slot = int(adj_slot[start + last])
-                moved_k = int(adj_k[start + last])
+                moved_slot = adj_slot.item(start + last)
+                moved_k = adj_k.item(start + last)
                 adj_slot[start + p] = moved_slot
                 adj_k[start + p] = moved_k
-                path_pos[path_start[moved_slot] + moved_k] = p
+                path_pos[path_start.item(moved_slot) + moved_k] = p
         self._path_len[slot] = 0
         self._path_live -= k_len
-        self._pairs -= k_len
 
     def links(self) -> List[str]:
-        """Link ids currently carrying flows, in first-interned order.
-
-        Note: first-*interned* order (first use ever), not the object
-        index's first-use-among-current-flows order.  Only consumed as
-        a full-solve seed set, where discovery order does not affect
-        the result (components are ordered by earliest flow).
-        """
+        """Link ids currently carrying flows, in first-interned order
+        (first use ever, not first use among the current flows)."""
         counts = self._adj_count
         return [
             lid
@@ -815,178 +652,119 @@ class ArrayIncidence:
             new_len[tgt] = self._path_len[old]
         self._path_start = new_start
         self._path_len = new_len
-        self._slot_stamp = np.zeros(new_cap, dtype=np.int64)
 
-    def components(
-        self,
-        seed_links: Iterable[str],
-        order_key: Callable[[Flow], int],
-    ) -> List[Tuple[List[Flow], List[str]]]:
-        """Object-materialised components; see :meth:`batch`.
+    # -- component discovery and flattening -------------------------------
 
-        Same contract as :meth:`FlowIncidence.components` (flows in
-        start order, components by earliest flow); ``order_key`` is
-        accepted for interface parity but the start sequence is built
-        into the array ordering.  Component link lists come out in
-        first-use order rather than BFS discovery order -- callers
-        treat them as a set.
-        """
-        del order_key
-        batch = self.batch(list(seed_links))
-        if batch is None:
-            return []
-        out: List[Tuple[List[Flow], List[str]]] = []
-        for ci in range(batch.n_comps):
-            ls, le = batch.link_slice(ci)
-            out.append(
-                (
-                    batch.comp_flows(ci),
-                    [batch.link_id(li) for li in range(ls, le)],
-                )
-            )
-        return out
-
-    # -- batched component discovery ---------------------------------------
-
-    def batch(
-        self, seed_links: Optional[Sequence[str]] = None
-    ) -> Optional[ComponentBatch]:
-        """Discover components reachable from ``seed_links`` as arrays.
+    def discover(
+        self, seed_links: Optional[Iterable[str]] = None
+    ) -> List[List[Flow]]:
+        """Congestion components reachable from ``seed_links``.
 
         ``None`` seeds the search with every populated link (a full
-        solve).  Returns ``None`` when nothing is reachable.  The
-        traversal is a level-synchronous BFS over the whole seed set
-        at once -- alternating a gather of member slots from frontier
-        links with a gather of path links from frontier slots, each
-        deduplicated with a round-stamped visit mark -- followed by a
-        min-label propagation that splits the visited flows into
-        connected components without any per-flow Python.
+        solve).  Breadth-first search over shared links; each
+        component's flows come back in start order and components are
+        ordered by their earliest flow, so the result is independent
+        of the seeds' order and of which seed reached a component.
         """
-        n_links = len(self.link_ids)
+        index = self._link_index
         adj_start = self._adj_start
         adj_count = self._adj_count
         adj_slot = self._adj_slot
-        path_start = self._path_start
-        path_len = self._path_len
-        path_buf = self._path_buf
+        flow_of = self.table.flow_of
         if seed_links is None:
-            frontier = np.nonzero(adj_count[:n_links] > 0)[0]
+            seeds: Iterable[int] = np.flatnonzero(
+                adj_count[: len(self.link_ids)]
+            ).tolist()
         else:
-            index = self._link_index
-            seen: List[int] = []
-            for lid in seed_links:
-                li = index.get(lid)
-                if li is not None and adj_count[li] > 0:
-                    seen.append(li)
-            frontier = np.asarray(sorted(set(seen)), dtype=np.int64)
-        if frontier.size == 0:
-            return None
-        self._round += 1
-        rnd = self._round
-        link_stamp = self._link_stamp
-        slot_stamp = self._slot_stamp
-        link_stamp[frontier] = rnd
-        slot_parts: List[np.ndarray] = []
-        while frontier.size:
-            member_idx = _gather_ranges(
-                adj_start[frontier], adj_count[frontier]
-            )
-            cand = adj_slot[member_idx]
-            cand = cand[slot_stamp[cand] != rnd]
-            if cand.size == 0:
-                break
-            cand = np.unique(cand)
-            slot_stamp[cand] = rnd
-            slot_parts.append(cand)
-            link_idx = _gather_ranges(path_start[cand], path_len[cand])
-            nxt = path_buf[link_idx]
-            nxt = nxt[link_stamp[nxt] != rnd]
-            if nxt.size == 0:
-                break
-            nxt = np.unique(nxt)
-            link_stamp[nxt] = rnd
-            frontier = nxt
-        if not slot_parts:
-            return None
-        slots = np.concatenate(slot_parts)
-        # Flow axis: start-sequence order (seq values are unique).
-        slots = slots[np.argsort(self.table.seq[slots])]
-        n_f = len(slots)
-        lens = path_len[slots]
-        fp_starts = _exclusive_cumsum(lens)
-        pair_gl = path_buf[_gather_ranges(path_start[slots], lens)]
-        pair_fl = np.repeat(np.arange(n_f, dtype=np.int64), lens)
-        # Min-label propagation: initial labels are seq ranks, so a
-        # component's fixpoint label is its earliest flow's rank and
-        # np.unique below orders components by earliest flow for free.
-        u_links, inv = np.unique(pair_gl, return_inverse=True)
-        n_l = len(u_links)
-        lorder = np.argsort(inv, kind="stable")
-        lm_flow = pair_fl[lorder]
-        seg_starts = _exclusive_cumsum(
-            np.bincount(inv, minlength=n_l).astype(np.int64)
+            seeds = [index[lid] for lid in seed_links if lid in index]
+        seen_links: set = set()
+        seen_slots: set = set()
+        comps: List[List[Flow]] = []
+        for seed in seeds:
+            if seed in seen_links:
+                continue
+            seen_links.add(seed)
+            comp: List[Flow] = []
+            frontier = [seed]
+            while frontier:
+                li = frontier.pop()
+                start = adj_start.item(li)
+                for slot in adj_slot[
+                    start : start + adj_count.item(li)
+                ].tolist():
+                    if slot in seen_slots:
+                        continue
+                    seen_slots.add(slot)
+                    flow = flow_of[slot]
+                    assert flow is not None
+                    comp.append(flow)
+                    for lid in flow.path:
+                        lj = index[lid]
+                        if lj not in seen_links:
+                            seen_links.add(lj)
+                            frontier.append(lj)
+            if comp:
+                comp.sort(key=_start_order)
+                comps.append(comp)
+        comps.sort(key=lambda comp: comp[0]._seq)
+        return comps
+
+    def batch(self, comps: Sequence[Sequence[Flow]]) -> ComponentBatch:
+        """Flatten discovered components into one :class:`ComponentBatch`.
+
+        ``comps`` as :meth:`discover` returns them (or a subsequence):
+        each a non-empty start-ordered list of indexed flows.  The flow
+        axis concatenates them; the link axis and the pairs are
+        gathered from the persistent path segments.
+        """
+        counts = [len(comp) for comp in comps]
+        n_f = sum(counts)
+        n_comps = len(comps)
+        slots = np.fromiter(
+            (flow._slot for comp in comps for flow in comp),
+            dtype=np.int64, count=n_f,
         )
-        lab = np.arange(n_f, dtype=np.int64)
-        while True:
-            lab_link = np.minimum.reduceat(lab[lm_flow], seg_starts)
-            cand_lab = np.minimum.reduceat(lab_link[inv], fp_starts)
-            new_lab = np.minimum(lab, cand_lab)
-            if np.array_equal(new_lab, lab):
-                break
-            lab = new_lab
-        labels, comp_of_flow = np.unique(lab, return_inverse=True)
-        comp_of_flow = comp_of_flow.astype(np.int64)
-        n_comps = len(labels)
-        if n_comps > 1:
-            # Regroup the flow axis component-contiguously (stable, so
-            # seq order survives within each component) and regather
-            # the flow-major pair arrays for the final order.
-            forder = np.argsort(comp_of_flow, kind="stable")
-            slots = slots[forder]
-            comp_of_flow = comp_of_flow[forder]
-            lens = lens[forder]
-            fp_starts = _exclusive_cumsum(lens)
-            pair_gl = path_buf[_gather_ranges(path_start[slots], lens)]
-            pair_fl = np.repeat(np.arange(n_f, dtype=np.int64), lens)
-        comp_flow_counts = np.bincount(
-            comp_of_flow, minlength=n_comps
-        ).astype(np.int64)
+        comp_of_flow = np.repeat(
+            np.arange(n_comps, dtype=np.int64), counts
+        )
+        lens = self._path_len[slots]
+        pair_gl = self._path_buf[_gather_ranges(self._path_start[slots], lens)]
+        pair_fl = np.repeat(np.arange(n_f, dtype=np.int64), lens)
         # Link axis: first use over the (component-major, seq-sorted)
-        # flow axis -- exactly the order the object path discovers
-        # links when building on_link.
-        u2, first_idx, inv2 = np.unique(
+        # flow axis -- the order walking each flow's path builds
+        # ``on_link``.
+        u_links, first_idx, inv = np.unique(
             pair_gl, return_index=True, return_inverse=True
         )
+        n_l = len(u_links)
         axis_order = np.argsort(first_idx)
         rank_of_u = np.empty(n_l, dtype=np.int64)
         rank_of_u[axis_order] = np.arange(n_l, dtype=np.int64)
-        pair_rank = rank_of_u[inv2]
-        link_axis = u2[axis_order]
+        pair_rank = rank_of_u[inv.reshape(-1)]
         comp_of_link = comp_of_flow[pair_fl[first_idx[axis_order]]]
-        comp_link_counts = np.bincount(
-            comp_of_link, minlength=n_comps
-        ).astype(np.int64)
         # Link-major pairs: stable sort by link rank keeps members in
         # flow (start) order within each link's segment.
         qorder = np.argsort(pair_rank, kind="stable")
         pair_flow = pair_fl[qorder]
-        pair_link = pair_rank[qorder]
-        link_counts = np.bincount(pair_rank, minlength=n_l).astype(
-            np.int64
-        )
+        link_counts = np.bincount(pair_rank, minlength=n_l).astype(np.int64)
         csr = BatchCSR(
             comp_of_flow=comp_of_flow,
             comp_of_link=comp_of_link,
-            comp_flow_starts=_exclusive_cumsum(comp_flow_counts),
-            comp_link_starts=_exclusive_cumsum(comp_link_counts),
+            comp_flow_starts=_exclusive_cumsum(
+                np.asarray(counts, dtype=np.int64)
+            ),
+            comp_link_starts=_exclusive_cumsum(
+                np.bincount(comp_of_link, minlength=n_comps).astype(np.int64)
+            ),
             pair_flow=pair_flow,
-            pair_link=pair_link,
+            pair_link=pair_rank[qorder],
             link_starts=_exclusive_cumsum(link_counts),
             link_counts=link_counts,
             flow_perm=np.argsort(pair_flow, kind="stable"),
-            flow_starts=fp_starts,
+            flow_starts=_exclusive_cumsum(lens),
             flow_counts=lens.astype(np.int64),
         )
         return ComponentBatch(
-            csr=csr, slots=slots, link_axis=link_axis, incidence=self
+            csr=csr, slots=slots, link_axis=u_links[axis_order],
+            incidence=self,
         )

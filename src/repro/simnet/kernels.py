@@ -5,10 +5,10 @@ objects; at hyperscale the interpreter loop dominates.  This module
 re-implements the two solve algorithms as numpy array programs over a
 :class:`repro.simnet.incidence.BatchCSR` incidence:
 
-* :func:`_solve_maxmin` -- exact progressive filling (the
+* :func:`solve_maxmin_prepared` -- exact progressive filling (the
   ``max_min_rates`` fast path for all-:class:`FairScheduler`
   components): freeze-iteration over per-link fill levels.
-* :func:`_solve_residual` -- progressive residual filling
+* :func:`solve_residual_prepared` -- progressive residual filling
   (``solve_component``'s weighted grant rounds plus the mop-up
   phase) for mixed fair/WFQ/strict-priority components.
 
@@ -30,28 +30,25 @@ reduction is a segment reduction (``np.minimum.reduceat`` /
 and per-component segments).  Per-component convergence is a boolean
 mask, so early-converging components simply stop contributing.
 
-Marshalling is decoupled from solving: :func:`prepare_components` is
-the single place a batch of object-level components is flattened into
-a :class:`PreparedBatch` (incidence CSR + capacity/limit/discipline
-arrays), and both kernels consume a prepared batch and return a rate
-*array* over its flow axis.  The array-native fabric path builds
-:class:`PreparedBatch` instances directly from its persistent
-incidence axes -- no per-solve Python flattening at all -- while
-:func:`solve_batch` keeps the object-level ``flow_id -> rate``
-contract on top of the same kernels.
+:func:`solve_components` is the fabric's entry point: it takes a
+:class:`~repro.simnet.incidence.ComponentBatch` straight from the
+flow index, extracts the per-link disciplines into a
+:class:`PreparedBatch` and dispatches each component to the kernel
+its disciplines need.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simnet.fairness import KernelSpec, LinkScheduler
+from repro.simnet.fairness import LinkScheduler
 from repro.simnet.flows import Flow
-from repro.simnet.incidence import BatchCSR, build_batch_csr
+from repro.simnet.incidence import BatchCSR, ComponentBatch, _gather_ranges
 
 _EPS = 1e-9  # matches fairness._EPS
 
@@ -59,52 +56,11 @@ _BIG = np.iinfo(np.int64).max
 
 #: Per-link discipline codes in a :class:`PreparedBatch`.
 _KIND_FAIR, _KIND_WFQ, _KIND_PRIO = 0, 1, 2
-KIND_FAIR, KIND_WFQ, KIND_PRIO = _KIND_FAIR, _KIND_WFQ, _KIND_PRIO
 
-
-@dataclass
-class KernelComponent:
-    """One congestion component prepared for a batched kernel solve.
-
-    ``on_link`` iteration order defines the link axis; ``caps`` holds
-    the already-derated usable capacity and ``specs`` the per-link
-    :data:`~repro.simnet.fairness.KernelSpec` (all keyed like
-    ``on_link``).
-    """
-
-    flows: Sequence[Flow]
-    on_link: Mapping[str, Sequence[Flow]]
-    caps: Mapping[str, float]
-    specs: Mapping[str, KernelSpec]
-
-
-def component_specs(
-    on_link: Mapping[str, Sequence[Flow]],
-    schedulers: Mapping[str, LinkScheduler],
-) -> Optional[Dict[str, KernelSpec]]:
-    """Extract per-link kernel specs, or ``None`` if any link cannot
-    be vectorized (custom scheduler without a kernel form)."""
-    specs: Dict[str, KernelSpec] = {}
-    for lid, members in on_link.items():
-        extract = getattr(schedulers[lid], "kernel_spec", None)
-        spec = extract(members) if extract is not None else None
-        if spec is None:
-            return None
-        specs[lid] = spec
-    return specs
-
-
-def padded_cells(on_link: Mapping[str, Sequence[Flow]]) -> int:
-    """Upper bound on the padded 2-D work-array size for a component.
-
-    The mop-up water fill pads to ``links x max members-per-link``;
-    the fabric uses this to route pathological components (one link
-    shared by a huge share of flows alongside many small links) onto
-    the object solver instead of allocating a huge padded array.
-    """
-    if not on_link:
-        return 0
-    return len(on_link) * max(len(m) for m in on_link.values())
+#: Padded work-array cell budget; components whose (links x max
+#: members-per-link) size exceeds it are left to the object solver
+#: rather than allocating a huge 2-D array.
+PAD_CELL_LIMIT = 32_000_000
 
 
 @dataclass
@@ -128,116 +84,235 @@ class PreparedBatch:
     qweight: Optional[np.ndarray] = None
 
 
-def prepare_components(
-    components: Sequence[KernelComponent],
-    disciplines: bool = False,
-) -> PreparedBatch:
-    """Flatten object-level components into one :class:`PreparedBatch`.
+def solve_components(
+    batch: ComponentBatch,
+    caps: np.ndarray,
+    schedulers: Sequence[LinkScheduler],
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Solve a batch of congestion components on the kernels.
 
-    The only place a ``(flows, on_link)`` batch is turned into CSR
-    arrays -- both kernels (and their two former private call sites)
-    dispatch through here.  ``disciplines`` additionally extracts the
-    per-link/per-pair discipline arrays the residual kernel needs;
-    the all-fair max-min path skips that work.
+    ``caps`` (derated usable capacity) and ``schedulers`` run along
+    the batch's link axis.  Components whose links are all
+    uniform-fair take the exact progressive-filling kernel (mirroring
+    ``max_min_rates``); the rest take the residual-filling kernel
+    (mirroring ``solve_component``'s weighted rounds + mop-up) -- the
+    split the object ``solve_component`` makes.  A component with a
+    scheduler that has no kernel form, or whose padded work arrays
+    would exceed :data:`PAD_CELL_LIMIT`, is not solved: it is left to
+    the object solver.
+
+    Returns the rates over the batch flow axis (zero on unsolved
+    components), the per-component solved mask, and the wall seconds
+    spent inside the kernels themselves.
     """
-    csr = build_batch_csr([(c.flows, c.on_link) for c in components])
-    F, L, P = csr.n_flows, csr.n_links, csr.n_pairs
-    caps = np.fromiter(
-        (c.caps[lid] for c in components for lid in c.on_link),
-        dtype=np.float64,
-        count=L,
-    )
-    flows = csr.flows
-    assert flows is not None
-    limit = np.fromiter(
-        (f.demand_limit for f in flows), dtype=np.float64, count=F
-    )
-    kind = qid = qweight = None
-    if disciplines:
-        kind = np.empty(L, dtype=np.int8)
-        qid = np.empty(P, dtype=np.int64)
-        qweight = np.zeros(P)
-        li = 0
-        p = 0
-        for c in components:
-            for lid, members in c.on_link.items():
-                skind, ids, weights = c.specs[lid]
-                n = len(members)
-                if skind == "fair":
-                    kind[li] = _KIND_FAIR
-                    qid[p : p + n] = 0
-                elif skind == "wfq":
-                    kind[li] = _KIND_WFQ
-                    assert ids is not None and weights is not None
-                    qid[p : p + n] = ids
-                    qweight[p : p + n] = [weights[q] for q in ids]
-                elif skind == "prio":
-                    kind[li] = _KIND_PRIO
-                    assert ids is not None
-                    qid[p : p + n] = ids
-                else:  # pragma: no cover
-                    raise SimulationError(f"unknown kernel spec kind {skind!r}")
-                li += 1
-                p += n
-    return PreparedBatch(
-        csr=csr, caps=caps, limit=limit, kind=kind, qid=qid, qweight=qweight
-    )
+    csr = batch.csr
+    n_comps = batch.n_comps
+    solved = batch.padded_cells_per_comp() <= PAD_CELL_LIMIT
+    kind = np.zeros(csr.n_links, dtype=np.int8)
+    qid = np.zeros(csr.n_pairs, dtype=np.int64)
+    qweight = np.zeros(csr.n_pairs)
+    comp_fair = np.ones(n_comps, dtype=bool)
+    nonfair = [
+        (li, scheduler) for li, scheduler in enumerate(schedulers)
+        if not getattr(scheduler, "uniform_fair", False)
+    ]
+    if nonfair:
+        comp_fair[
+            csr.comp_of_link[np.array([li for li, _ in nonfair])]
+        ] = False
+        _extract_specs(batch, nonfair, solved, kind, qid, qweight)
+    limit = batch.incidence.table.limit[batch.slots]
+    rates = np.zeros(csr.n_flows)
+    seconds = 0.0
+    for sel, disciplines in (
+        (np.flatnonzero(solved & comp_fair), False),
+        (np.flatnonzero(solved & ~comp_fair), True),
+    ):
+        if not len(sel):
+            continue
+        flow_idx: Optional[np.ndarray] = None
+        if len(sel) == n_comps:
+            prepared = PreparedBatch(
+                csr=csr, caps=caps, limit=limit, kind=kind, qid=qid,
+                qweight=qweight,
+            )
+        else:
+            sub = batch.select(sel)
+            assert sub.parent_flow_idx is not None
+            assert sub.parent_link_idx is not None
+            assert sub.parent_pair_idx is not None
+            flow_idx = sub.parent_flow_idx
+            prepared = PreparedBatch(
+                csr=sub.csr,
+                caps=caps[sub.parent_link_idx],
+                limit=limit[flow_idx],
+                kind=kind[sub.parent_link_idx],
+                qid=qid[sub.parent_pair_idx],
+                qweight=qweight[sub.parent_pair_idx],
+            )
+        t0 = time.perf_counter()
+        out = (
+            solve_residual_prepared(prepared)
+            if disciplines
+            else solve_maxmin_prepared(prepared)
+        )
+        seconds += time.perf_counter() - t0
+        if flow_idx is None:
+            rates = out
+        else:
+            rates[flow_idx] = out
+    return rates, solved, seconds
 
 
-def solve_batch(
-    components: Sequence[KernelComponent],
-    max_rounds: int = 80,
-    tol: float = 1e-4,
-) -> Dict[int, float]:
-    """Solve a batch of components in (at most) two kernel invocations.
+def _elementwise_entry(
+    scheduler: LinkScheduler, batch_flows: List[Flow],
+) -> Optional[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]]:
+    """One elementwise scheduler's spec over the batch flow axis.
 
-    Components whose links are all uniform-fair take the exact
-    progressive-filling kernel (mirroring ``max_min_rates``); the
-    rest take the residual-filling kernel (mirroring
-    ``solve_component``'s weighted rounds + mop-up) -- the same split
-    the object ``solve_component`` performs.  Returns
-    ``flow_id -> rate`` over all components.
+    Returns ``(kind code, per-flow group ids, per-flow weights)``,
+    or ``None`` when the scheduler has no kernel form.  Weight values
+    are computed exactly as the per-link extraction does (``weights[q]``
+    per member), so gathering sublists from these arrays reproduces
+    the per-link arrays bit for bit.
     """
-    fair = [c for c in components if all(s[0] == "fair" for s in c.specs.values())]
-    mixed = [c for c in components if not all(s[0] == "fair" for s in c.specs.values())]
-    rates: Dict[int, float] = {}
-    if fair:
-        prepared = prepare_components(fair)
-        rates.update(_rates_by_id(prepared.csr, solve_maxmin_prepared(prepared)))
-    if mixed:
-        prepared = prepare_components(mixed, disciplines=True)
-        rates.update(_rates_by_id(
-            prepared.csr,
-            solve_residual_prepared(prepared, max_rounds=max_rounds, tol=tol),
-        ))
-    return rates
+    extract = getattr(scheduler, "kernel_spec", None)
+    if extract is None:
+        return None
+    spec = extract(batch_flows)
+    if spec is None:
+        return None
+    skind, ids, weights = spec
+    if skind == "fair":
+        return (_KIND_FAIR, None, None)
+    if skind == "wfq":
+        assert ids is not None and weights is not None
+        return (
+            _KIND_WFQ,
+            np.asarray(ids, dtype=np.int64),
+            np.array([weights[q] for q in ids], dtype=np.float64),
+        )
+    if skind == "prio":
+        assert ids is not None
+        return (_KIND_PRIO, np.asarray(ids, dtype=np.int64), None)
+    raise SimulationError(f"unknown kernel spec kind {skind!r}")
 
 
-def _rates_by_id(csr: BatchCSR, rates: np.ndarray) -> Dict[int, float]:
-    """Object-level view of a kernel result: ``flow_id -> rate``."""
-    flows = csr.flows
-    assert flows is not None, "rate dict requires a materialized flow axis"
-    return {f.flow_id: float(rates[i]) for i, f in enumerate(flows)}
+def _extract_specs(
+    batch: ComponentBatch,
+    nonfair: List[Tuple[int, LinkScheduler]],
+    solved: np.ndarray,
+    kind: np.ndarray,
+    qid: np.ndarray,
+    qweight: np.ndarray,
+) -> None:
+    """Fill the discipline arrays for non-uniform-fair links.
 
-
-def solve_component_vector(
-    flows: Sequence[Flow],
-    on_link: Mapping[str, Sequence[Flow]],
-    schedulers: Mapping[str, LinkScheduler],
-    caps: Mapping[str, float],
-    max_rounds: int = 80,
-    tol: float = 1e-4,
-) -> Dict[int, float]:
-    """Vector twin of :func:`repro.simnet.fairness.solve_component`.
-
-    Raises :class:`SimulationError` if any link's scheduler has no
-    kernel form (the fabric checks :func:`component_specs` first).
+    Elementwise schedulers (``kernel_spec_elementwise``: group id and
+    weight are pure functions of the flow) are extracted once per
+    scheduler instance over the whole batch flow axis and gathered
+    into the pair-axis arrays -- per-link group lists are sublists of
+    the per-flow mapping, so the values are identical to per-link
+    extraction.  Non-elementwise schedulers keep the per-link
+    ``kernel_spec`` call; a scheduler with no kernel form clears its
+    component's ``solved`` entry.
     """
-    specs = component_specs(on_link, schedulers)
-    if specs is None:
-        raise SimulationError("component has a scheduler without a kernel spec")
-    comp = KernelComponent(flows=flows, on_link=on_link, caps=caps, specs=specs)
-    return solve_batch([comp], max_rounds=max_rounds, tol=tol)
+    csr = batch.csr
+    pair_flow = csr.pair_flow
+    link_starts = csr.link_starts
+    link_counts = csr.link_counts
+    comp_of_link = csr.comp_of_link
+    flow_of = batch.incidence.table.flow_of
+    batch_flows: Optional[List[Flow]] = None
+
+    def all_flows() -> List[Flow]:
+        nonlocal batch_flows
+        if batch_flows is None:
+            batch_flows = []
+            for slot in batch.slots.tolist():
+                flow = flow_of[slot]
+                assert flow is not None
+                batch_flows.append(flow)
+        return batch_flows
+
+    # Fast path: every non-fair link shares one elementwise scheduler
+    # (the common policy shape -- a single WFQ/priority instance
+    # fabric-wide) -> whole-axis gathers, no per-link Python work.
+    first = nonfair[0][1]
+    if getattr(first, "kernel_spec_elementwise", False) and all(
+        sched is first for _, sched in nonfair
+    ):
+        entry = _elementwise_entry(first, all_flows())
+        if entry is None:
+            for li, _ in nonfair:
+                solved[int(comp_of_link[li])] = False
+            return
+        kcode, flow_qid, flow_qw = entry
+        if kcode == _KIND_FAIR:
+            return
+        if len(nonfair) == csr.n_links:
+            kind[:] = kcode
+            assert flow_qid is not None
+            qid[:] = flow_qid[pair_flow]
+            if flow_qw is not None:
+                qweight[:] = flow_qw[pair_flow]
+        else:
+            lis = np.array([li for li, _ in nonfair], dtype=np.int64)
+            pos = _gather_ranges(link_starts[lis], link_counts[lis])
+            kind[lis] = kcode
+            assert flow_qid is not None
+            sub_pf = pair_flow[pos]
+            qid[pos] = flow_qid[sub_pf]
+            if flow_qw is not None:
+                qweight[pos] = flow_qw[sub_pf]
+        return
+
+    cache: Dict[
+        int, Optional[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]]
+    ] = {}
+    for li, scheduler in nonfair:
+        start = int(link_starts[li])
+        n = int(link_counts[li])
+        if getattr(scheduler, "kernel_spec_elementwise", False):
+            sid = id(scheduler)
+            if sid in cache:
+                entry = cache[sid]
+            else:
+                entry = _elementwise_entry(scheduler, all_flows())
+                cache[sid] = entry
+            if entry is None:
+                solved[int(comp_of_link[li])] = False
+                continue
+            kcode, flow_qid, flow_qw = entry
+            if kcode == _KIND_FAIR:
+                continue
+            pf = pair_flow[start : start + n]
+            kind[li] = kcode
+            assert flow_qid is not None
+            qid[start : start + n] = flow_qid[pf]
+            if flow_qw is not None:
+                qweight[start : start + n] = flow_qw[pf]
+            continue
+        extract = getattr(scheduler, "kernel_spec", None)
+        spec = extract(batch.members(li)) if extract is not None else None
+        if spec is None:
+            # A scheduler without a kernel form: this component falls
+            # back to the object solver.
+            solved[int(comp_of_link[li])] = False
+            continue
+        skind, ids, weights = spec
+        if skind == "fair":
+            continue
+        if skind == "wfq":
+            assert ids is not None and weights is not None
+            kind[li] = _KIND_WFQ
+            qid[start : start + n] = ids
+            qweight[start : start + n] = [weights[q] for q in ids]
+        elif skind == "prio":
+            assert ids is not None
+            kind[li] = _KIND_PRIO
+            qid[start : start + n] = ids
+        else:  # pragma: no cover
+            raise SimulationError(f"unknown kernel spec kind {skind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +518,7 @@ class _ResidualBatch:
         weight = prepared.qweight
         if kind is None or qid is None or weight is None:
             raise SimulationError(
-                "residual kernel requires discipline arrays "
-                "(prepare with disciplines=True)"
+                "residual kernel requires discipline arrays"
             )
         self.kind = kind
         # --- canonical qsort pair order --------------------------------

@@ -11,6 +11,11 @@ Fabric invariants (checked at every storm probe point):
 
 * **sane rates** -- no flow has a negative or NaN rate, and no flow
   exceeds its application ``rate_cap``;
+* **index agreement** -- on every topology link, the fabric's
+  flow<->link index lists exactly the active flows whose path crosses
+  it, in start order.  This pins the index's upkeep under real churn
+  (slot recycling, buffer compaction, table remaps, reroutes), since
+  every solve reads its components from that index;
 * **capacity** -- on every link, the sum of member-flow rates equals
   the fabric's cached accumulator and stays within the scheduler's
   usable capacity;
@@ -123,10 +128,19 @@ def check_fabric(
                 f"{cap:g}",
             )
 
-    link_ids: Dict[str, None] = {}
+    on_path: Dict[str, List[int]] = {}
     for flow in flows:
         for lid in flow.path:
-            link_ids[lid] = None
+            on_path.setdefault(lid, []).append(flow.flow_id)
+    for lid in sorted(fabric.topology.links):
+        indexed = [f.flow_id for f in fabric.link_members(lid)]
+        expected = on_path.get(lid, [])
+        if indexed != expected:
+            raise InvariantViolation(
+                "link_index_drift",
+                f"link {lid}: the flow index lists {indexed[:8]} but the "
+                f"active flows crossing it are {expected[:8]}",
+            )
 
     # Usable capacity is a stable reference only for component-safe
     # policies; see the module docstring for why remaining-dependent
@@ -134,7 +148,7 @@ def check_fabric(
     stable_usable = getattr(fabric, "_component_safe", True)
 
     saturated: Dict[str, None] = {}
-    for lid in sorted(link_ids):
+    for lid in sorted(on_path):
         members = fabric.link_members(lid)
         used = fabric.link_used_rate(lid)
         member_sum = sum(f.rate for f in members)

@@ -262,24 +262,12 @@ def equivalence_configs(config: StormConfig) -> Dict[str, StormConfig]:
     """The solver-path variants a run must agree with bit-for-bit.
 
     ``full_solve`` disables incremental (per-component) solving;
-    ``alt_backend`` flips between the object and vectorized kernels;
-    ``alt_incidence`` flips the flow<->link index between the object
-    ``FlowIncidence`` and the array-native ``ArrayIncidence`` (pinning
-    the persistent-CSR maintenance -- slot recycling, adjacency
-    compaction, remap -- against the reference implementation under
-    real churn).  Everything else -- seeds, arrivals, teardowns -- is
-    unchanged, so per-flow completion times must match to 1e-9
-    relative.
+    ``alt_backend`` flips between the object and vectorized kernels.
+    Everything else -- seeds, arrivals, teardowns -- is unchanged, so
+    per-flow completion times must match to 1e-9 relative.
     """
     spec = config.spec
     alt = "object" if spec.solver_backend == "vector" else "vector"
-    # Mirror FluidFabric's "auto" dispatch to find what the base run
-    # resolved to, then force the other index.
-    resolved_array = spec.incidence_backend == "array" or (
-        spec.incidence_backend == "auto"
-        and spec.solver_backend in ("auto", "vector")
-    )
-    alt_incidence = "object" if resolved_array else "array"
     return {
         "full_solve": dataclasses.replace(
             config,
@@ -287,12 +275,6 @@ def equivalence_configs(config: StormConfig) -> Dict[str, StormConfig]:
         ),
         "alt_backend": dataclasses.replace(
             config, spec=dataclasses.replace(spec, solver_backend=alt),
-        ),
-        "alt_incidence": dataclasses.replace(
-            config,
-            spec=dataclasses.replace(
-                spec, incidence_backend=alt_incidence,
-            ),
         ),
     }
 

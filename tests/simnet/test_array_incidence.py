@@ -1,37 +1,43 @@
-"""Differential suite: :class:`ArrayIncidence` vs :class:`FlowIncidence`.
+"""Differential suite: :class:`ArrayIncidence` against index-free oracles.
 
-The array-native incidence is a performance substrate, not a new
-semantics: every observable -- per-link membership, component
-discovery order, batch CSR layout, and end-to-end fabric results --
-must match the object index exactly.  These tests pin that contract
-three ways:
+The flow index is a performance substrate, not a semantics: every
+observable -- per-link membership, component discovery, the batch CSR
+the kernels read, and end-to-end fabric results -- must equal what a
+from-scratch build over the active flows gives.  The oracle here keeps
+no index at all: :func:`split_components` (union-find over the active
+flows in start order, the partition the full-solve oracle
+``network_rates`` uses) flattened by the test-local
+:func:`build_batch_csr`.  These tests pin that contract three ways:
 
 * randomized add/remove/reroute churn (hypothesis) with periodic
   :meth:`FlowTable.compact` + :meth:`ArrayIncidence.remap`, comparing
-  counts, memberships, components and the full ``batch()`` CSR
-  against ``build_batch_csr`` over the object index's components;
+  counts, memberships, and the full CSR of both full and seeded
+  discovery, plus ``select()`` sub-batches;
 * deterministic edge cases for slot recycling, re-adds, adjacency
   segment relocation and buffer compaction;
 * end-to-end fabric runs (fair and WFQ policies, link faults via
-  ``set_link_state``) where the array incidence under the object
-  solver must be *bit-identical* to the object baseline, and the two
-  marshalling paths must agree bit-for-bit under the vector solver.
+  ``set_link_state``) whose object-solver finish times are pinned bit
+  for bit, with the vector and auto solvers within 1e-9.
 """
 
+import json
+import os
 import random
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.simnet import fabric as fabric_module
 from repro.simnet.fabric import FluidFabric
 from repro.simnet.fairness import WFQScheduler
 from repro.simnet.flows import Flow, reset_flow_ids
 from repro.simnet.flowtable import FlowTable
 from repro.simnet.incidence import (
     ArrayIncidence,
-    FlowIncidence,
-    build_batch_csr,
+    BatchCSR,
+    split_components,
 )
 from repro.simnet.topology import spine_leaf
 
@@ -42,181 +48,197 @@ _CSR_FIELDS = (
 )
 
 
-def _order_key(flow):
-    return flow._seq
+def build_batch_csr(
+    components: Sequence[Tuple[Sequence[Flow], Mapping[str, Sequence[Flow]]]],
+) -> Tuple[BatchCSR, List[Flow], List[str]]:
+    """Flatten ``(flows, on_link)`` components into a :class:`BatchCSR`.
+
+    The straightforward per-pair Python build: ``on_link`` iteration
+    order defines the link axis and each link's member order its pair
+    segment, exactly what the object solver iterates.  Returns the CSR
+    with its flow and link axes as objects / ids.
+    """
+    flows: List[Flow] = []
+    link_ids: List[str] = []
+    comp_of_flow: List[int] = []
+    comp_of_link: List[int] = []
+    comp_flow_starts: List[int] = []
+    comp_link_starts: List[int] = []
+    pair_flow: List[int] = []
+    pair_link: List[int] = []
+    link_starts: List[int] = []
+    for ci, (comp_flows, on_link) in enumerate(components):
+        comp_flow_starts.append(len(flows))
+        comp_link_starts.append(len(link_ids))
+        idx_of = {f.flow_id: len(flows) + i for i, f in enumerate(comp_flows)}
+        flows.extend(comp_flows)
+        comp_of_flow.extend([ci] * len(comp_flows))
+        for lid, members in on_link.items():
+            li = len(link_ids)
+            link_ids.append(lid)
+            comp_of_link.append(ci)
+            link_starts.append(len(pair_flow))
+            for f in members:
+                pair_flow.append(idx_of[f.flow_id])
+                pair_link.append(li)
+    pf = np.asarray(pair_flow, dtype=np.int64)
+    starts = np.asarray(link_starts, dtype=np.int64)
+    flow_counts = np.bincount(pf, minlength=len(flows)).astype(np.int64)
+    csr = BatchCSR(
+        comp_of_flow=np.asarray(comp_of_flow, dtype=np.int64),
+        comp_of_link=np.asarray(comp_of_link, dtype=np.int64),
+        comp_flow_starts=np.asarray(comp_flow_starts, dtype=np.int64),
+        comp_link_starts=np.asarray(comp_link_starts, dtype=np.int64),
+        pair_flow=pf,
+        pair_link=np.asarray(pair_link, dtype=np.int64),
+        link_starts=starts,
+        link_counts=np.diff(np.append(starts, len(pf))).astype(np.int64),
+        # Stable sort by flow groups each flow's pairs contiguously
+        # while keeping link-major order within a flow's segment.
+        flow_perm=np.argsort(pf, kind="stable"),
+        flow_starts=np.concatenate(
+            ([0], np.cumsum(flow_counts)[:-1])
+        ).astype(np.int64),
+        flow_counts=flow_counts,
+    )
+    return csr, flows, link_ids
 
 
-def _object_csr(obj, table):
-    """Reference CSR: the object index's components, fabric-style."""
-    seeds = list(obj.links())
-    if not seeds:
-        return None
-    comps = []
-    for comp_flows, _ in obj.components(seeds, _order_key):
-        on_link = {}
-        for flow in comp_flows:
-            for lid in flow.path:
-                on_link.setdefault(lid, []).append(flow)
-        comps.append((comp_flows, on_link))
-    return build_batch_csr(comps)
+def _on_link(comp_flows):
+    on_link: Dict[str, List[Flow]] = {}
+    for flow in comp_flows:
+        for lid in flow.path:
+            on_link.setdefault(lid, []).append(flow)
+    return on_link
 
 
-def _assert_batch_matches(obj, arr, table):
-    """Full structural parity between the two indexes."""
-    assert set(obj.links()) == set(arr.links())
-    for lid in set(obj.links()):
-        assert obj.count(lid) == arr.count(lid)
-        obj_ids = sorted(f.flow_id for f in obj.flows_on(lid))
-        arr_members = arr.flows_on(lid)
-        assert sorted(f.flow_id for f in arr_members) == obj_ids
-        # Array membership is seq-sorted (start order).
-        seqs = [f._seq for f in arr_members]
-        assert seqs == sorted(seqs)
+def _oracle_components(active, seeds=None):
+    """Components of the active flows (start order) reachable from
+    ``seeds`` (all when ``None``), without any index."""
+    comps = split_components(sorted(active, key=lambda f: f._seq))
+    if seeds is not None:
+        seeds = set(seeds)
+        comps = [
+            c for c in comps if any(lid in seeds for f in c for lid in f.path)
+        ]
+    return comps
 
-    ref = _object_csr(obj, table)
-    batch = arr.batch(None)
-    if ref is None:
-        assert batch is None
-        return
-    assert batch is not None
+
+def _assert_csr_equal(batch, comps):
+    ref, flows, link_ids = build_batch_csr([(c, _on_link(c)) for c in comps])
     for name in _CSR_FIELDS:
         assert np.array_equal(getattr(ref, name), getattr(batch.csr, name)), name
-    assert [f.flow_id for f in ref.flows] == [
-        table.flow_of[s].flow_id for s in batch.slots
+    flow_of = batch.incidence.table.flow_of
+    assert [f.flow_id for f in flows] == [
+        flow_of[s].flow_id for s in batch.slots
     ]
-    assert ref.link_ids == [
-        batch.link_id(i) for i in range(batch.csr.n_links)
-    ]
+    assert link_ids == batch.link_ids()
+
+
+def _assert_matches(arr, active, seeds=None):
+    """The index agrees with the active flows: membership, counts, and
+    discovery + flattening against the oracle."""
+    members: Dict[str, List[int]] = {}
+    for flow in sorted(active, key=lambda f: f._seq):
+        for lid in flow.path:
+            members.setdefault(lid, []).append(flow.flow_id)
+    assert set(arr.links()) == set(members)
+    for lid in set(arr.link_ids) | set(members):
+        assert arr.count(lid) == len(members.get(lid, []))
+        assert [f.flow_id for f in arr.flows_on(lid)] == members.get(lid, [])
+
+    for seed_set in [None] if seeds is None else [None, seeds]:
+        comps = arr.discover(seed_set)
+        ref = _oracle_components(active, seed_set)
+        assert [[f.flow_id for f in c] for c in comps] == [
+            [f.flow_id for f in c] for c in ref
+        ]
+        if comps:
+            _assert_csr_equal(arr.batch(comps), ref)
 
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_churn_differential(data):
-    """Random add/remove/reroute churn with compaction: the array
-    index tracks the object index exactly, including the batch CSR."""
+    """Random add/remove/reroute churn with compaction: membership,
+    full and seeded discovery, and their CSR track the oracle."""
     table = FlowTable()
-    obj = FlowIncidence()
     arr = ArrayIncidence(table)
-    n_links = data.draw(st.integers(min_value=2, max_value=12))
+    n_links = data.draw(st.integers(min_value=2, max_value=16))
     links = [f"L{i}" for i in range(n_links)]
+    paths = st.lists(
+        st.sampled_from(links), min_size=1, max_size=4, unique=True
+    )
     seq = iter(range(10**9))
-    active = []
-    n_steps = data.draw(st.integers(min_value=10, max_value=80))
+    active: List[Flow] = []
+    n_steps = data.draw(st.integers(min_value=10, max_value=120))
     for step in range(n_steps):
         op = data.draw(st.integers(min_value=0, max_value=9))
         if op < 5 or not active:
-            path = data.draw(
-                st.lists(st.sampled_from(links), min_size=1, max_size=4,
-                         unique=True)
-            )
             flow = Flow(src="a", dst="b", size=1.0)
-            flow.path = tuple(path)
+            flow.path = tuple(data.draw(paths))
             table.bind(flow, next(seq), 0.0)
-            obj.add(flow)
             arr.add(flow)
             active.append(flow)
         elif op < 8:
             idx = data.draw(st.integers(min_value=0, max_value=len(active) - 1))
             flow = active.pop(idx)
-            obj.remove(flow)
             arr.remove(flow)
             table.unbind(flow)
         else:  # reroute: remove, change path, re-add
             idx = data.draw(st.integers(min_value=0, max_value=len(active) - 1))
             flow = active[idx]
-            obj.remove(flow)
             arr.remove(flow)
-            path = data.draw(
-                st.lists(st.sampled_from(links), min_size=1, max_size=4,
-                         unique=True)
-            )
-            flow.path = tuple(path)
-            obj.add(flow)
+            flow.path = tuple(data.draw(paths))
             arr.add(flow)
         if step % 17 == 16:
             arr.remap(table.compact())
         if step % 11 == 10:
-            _assert_batch_matches(obj, arr, table)
+            seeds = data.draw(
+                st.lists(st.sampled_from(links), min_size=1, unique=True)
+            )
+            _assert_matches(arr, active, seeds)
     arr.remap(table.compact())
-    _assert_batch_matches(obj, arr, table)
+    _assert_matches(arr, active, links[: n_links // 2])
 
 
 @given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_seeded_discovery_and_select(data):
-    """Seeded component discovery and ``select()`` sub-batches match
-    the object index's components / ``build_batch_csr``."""
+@settings(max_examples=30, deadline=None)
+def test_select_sub_batches(data):
+    """``select()`` sub-batches of a churned population equal the
+    oracle CSR of the picked components alone."""
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**31)))
     table = FlowTable()
-    obj = FlowIncidence()
     arr = ArrayIncidence(table)
-    n_links = data.draw(st.integers(min_value=3, max_value=15))
-    links = [f"L{i}" for i in range(n_links)]
-    n_flows = data.draw(st.integers(min_value=1, max_value=40))
-    for i in range(n_flows):
-        path = data.draw(
-            st.lists(st.sampled_from(links), min_size=1, max_size=3,
-                     unique=True)
-        )
+    links = [f"L{i}" for i in range(rng.randint(3, 24))]
+    active: List[Flow] = []
+    for i in range(rng.randint(1, 120)):
         flow = Flow(src="a", dst="b", size=1.0)
-        flow.path = tuple(path)
+        flow.path = tuple(rng.sample(links, rng.randint(1, min(3, len(links)))))
         table.bind(flow, i, 0.0)
-        obj.add(flow)
         arr.add(flow)
-
-    # Seeded discovery parity (dirty-link recomputes use this form).
-    seeds = data.draw(
-        st.lists(st.sampled_from(links), min_size=1, max_size=n_links,
-                 unique=True)
-    )
-    obj_comps = obj.components(seeds, _order_key)
-    arr_comps = arr.components(seeds, _order_key)
-    assert len(obj_comps) == len(arr_comps)
-    for (of, ol), (af, al) in zip(obj_comps, arr_comps):
-        assert [f.flow_id for f in of] == [f.flow_id for f in af]
-        assert set(ol) == set(al)
-
-    batch = arr.batch(None)
-    if batch is None:
+        active.append(flow)
+        if rng.random() < 0.3:
+            victim = active.pop(rng.randrange(len(active)))
+            arr.remove(victim)
+            table.unbind(victim)
+    if not active:
         return
-    full = obj.components(list(obj.links()), _order_key)
-    pick = data.draw(
-        st.lists(st.integers(min_value=0, max_value=batch.n_comps - 1),
-                 min_size=1, max_size=batch.n_comps, unique=True)
-    )
-    pick = sorted(pick)
+    arr.remap(table.compact())
+    comps = arr.discover()
+    batch = arr.batch(comps)
+    pick = sorted(data.draw(
+        st.lists(st.integers(min_value=0, max_value=len(comps) - 1),
+                 min_size=1, max_size=len(comps), unique=True)
+    ))
     sub = batch.select(np.asarray(pick, dtype=np.int64))
-    comps = []
-    for ci in pick:
-        comp_flows, _ = full[ci]
-        on_link = {}
-        for flow in comp_flows:
-            for lid in flow.path:
-                on_link.setdefault(lid, []).append(flow)
-        comps.append((comp_flows, on_link))
-    ref = build_batch_csr(comps)
-    for name in _CSR_FIELDS:
-        assert np.array_equal(getattr(ref, name), getattr(sub.csr, name)), name
-    assert [f.flow_id for f in ref.flows] == [
-        table.flow_of[s].flow_id for s in sub.slots
-    ]
-    assert ref.link_ids == [sub.link_id(i) for i in range(sub.csr.n_links)]
-    # comp_on_link materialization preserves first-use link order and
-    # pair member order.
-    for j, ci in enumerate(pick):
-        comp_flows, _ = full[ci]
-        on_link = {}
-        for flow in comp_flows:
-            for lid in flow.path:
-                on_link.setdefault(lid, []).append(flow)
-        got = sub.comp_on_link(j)
-        assert list(got.keys()) == list(on_link.keys())
-        for lid in got:
-            assert [f.flow_id for f in got[lid]] == [
-                f.flow_id for f in on_link[lid]
-            ]
+    _assert_csr_equal(sub, [comps[ci] for ci in pick])
+    # Parent-axis indices gather the picked components' entries.
+    assert np.array_equal(batch.slots[sub.parent_flow_idx], sub.slots)
+    assert np.array_equal(batch.link_axis[sub.parent_link_idx], sub.link_axis)
 
 
-def _bound_flow(table, path, seq, slot_hint=None):
+def _bound_flow(table, path, seq):
     flow = Flow(src="a", dst="b", size=1.0)
     flow.path = tuple(path)
     table.bind(flow, seq, 0.0)
@@ -273,27 +295,23 @@ class TestSlotRecycling:
         """One link far past its initial segment capacity, interleaved
         with removals so the adjacency buffer compacts and relocates."""
         table = FlowTable()
-        obj = FlowIncidence()
         arr = ArrayIncidence(table)
         flows = []
         for i in range(200):
             flow = _bound_flow(table, ["HOT", f"cold{i % 7}"], i)
-            obj.add(flow)
             arr.add(flow)
             flows.append(flow)
             if i % 3 == 2:
                 victim = flows.pop(0)
-                obj.remove(victim)
                 arr.remove(victim)
                 table.unbind(victim)
-        _assert_batch_matches(obj, arr, table)
+        _assert_matches(arr, flows, ["cold3"])
 
     def test_compaction_remap(self):
         """Table compaction after heavy churn: remap keeps every live
-        pair and the CSR identical to the object reference."""
+        pair, and discovery and the CSR match the oracle."""
         rng = random.Random(7)
         table = FlowTable()
-        obj = FlowIncidence()
         arr = ArrayIncidence(table)
         links = [f"L{i}" for i in range(6)]
         active = []
@@ -301,21 +319,24 @@ class TestSlotRecycling:
             flow = _bound_flow(
                 table, rng.sample(links, rng.randint(1, 3)), i
             )
-            obj.add(flow)
             arr.add(flow)
             active.append(flow)
             if len(active) > 20:
                 victim = active.pop(rng.randrange(len(active)))
-                obj.remove(victim)
                 arr.remove(victim)
                 table.unbind(victim)
         remap = table.compact()
         arr.remap(remap)
         assert table.n_active == len(active)
-        _assert_batch_matches(obj, arr, table)
+        _assert_matches(arr, active, ["L2"])
 
 
 # -- end-to-end fabric parity ------------------------------------------
+
+#: Per scenario, flow id -> ``float.hex`` finish time under the object
+#: solver, recorded from the two-index implementation this fabric
+#: replaced; the one-index fabric must reproduce them bit for bit.
+_PINNED = os.path.join(os.path.dirname(__file__), "fabric_parity_finish.json")
 
 
 class _WFQPolicy:
@@ -340,16 +361,14 @@ class _WFQPolicy:
         pass
 
 
-def _run_scenario(incidence, solver, seed, policy):
+def _run_scenario(solver, seed, policy):
     reset_flow_ids()
     rng = random.Random(seed)
     topo = spine_leaf(
         n_spine=2, n_leaf=3, n_tor=4, servers_per_tor=4, capacity=10e9
     )
     fabric = FluidFabric(
-        topo, completion_quantum=0.0, solver_backend=solver,
-        incidence_backend=incidence, validate=True,
-        vector_min_flows=4, vector_min_batch=16,
+        topo, completion_quantum=0.0, solver_backend=solver, validate=True,
     )
     if policy is not None:
         fabric.set_policy(policy())
@@ -368,7 +387,7 @@ def _run_scenario(incidence, solver, seed, policy):
         flows.append(flow)
         t += rng.uniform(0.0, 0.01)
     # Fault redundant leaf->spine links only (rack-local reachability
-    # survives), exercising set_link_state churn on both indexes.
+    # survives), exercising reroutes through the index.
     fault_links = sorted(
         l for l in topo.links if l.startswith("leaf") and "spine" in l
     )[:4:2]
@@ -380,30 +399,34 @@ def _run_scenario(incidence, solver, seed, policy):
             0.2 + i * 0.013, lambda l=lid: fabric.set_link_state(l, True)
         )
     fabric.run()
-    return {f.flow_id: f.finish_time for f in flows}
+    return {f.flow_id: f.finish_time for f in flows}, fabric
 
 
 @pytest.mark.parametrize("policy", [None, _WFQPolicy],
                          ids=["fair", "wfq"])
 @pytest.mark.parametrize("seed", [0, 3])
-def test_fabric_array_incidence_parity(seed, policy):
-    """Array incidence is bit-identical under the object solver, within
-    1e-9 under vector/auto, and marshals bit-identically to the object
-    index under the vector solver."""
-    base = _run_scenario("object", "object", seed, policy)
-    exact = _run_scenario("array", "object", seed, policy)
-    assert exact == base
+def test_fabric_array_incidence_parity(seed, policy, monkeypatch):
+    """Object-solver finish times are pinned bit for bit; the vector
+    and auto solvers agree within 1e-9 relative."""
+    name = f"{'fair' if policy is None else 'wfq'}-{seed}"
+    with open(_PINNED) as handle:
+        pinned = {
+            int(fid): float.fromhex(value)
+            for fid, value in json.load(handle)[name].items()
+        }
+    base, _ = _run_scenario("object", seed, policy)
+    assert base == pinned
 
-    for incidence, solver in [
-        ("object", "vector"), ("array", "vector"), ("array", "auto"),
-    ]:
-        got = _run_scenario(incidence, solver, seed, policy)
+    # Small thresholds so the 90-flow run exercises both solver arms
+    # under "auto" (kernel-bound and object-bound components).
+    monkeypatch.setattr(fabric_module, "VECTOR_MIN_FLOWS", 4)
+    monkeypatch.setattr(fabric_module, "VECTOR_MIN_BATCH", 16)
+    for solver in ("vector", "auto"):
+        got, fabric = _run_scenario(solver, seed, policy)
+        assert fabric.vector_components > 0
+        if solver == "auto":
+            assert fabric.object_components > 0
         assert got.keys() == base.keys()
         for fid, finish in base.items():
             rel = abs(got[fid] - finish) / max(abs(finish), 1e-12)
-            assert rel <= 1e-9, (incidence, solver, fid, rel)
-
-    # Strongest ordering-parity check: identical kernel inputs.
-    vec_obj = _run_scenario("object", "vector", seed, policy)
-    vec_arr = _run_scenario("array", "vector", seed, policy)
-    assert vec_obj == vec_arr
+            assert rel <= 1e-9, (solver, fid, rel)

@@ -1,85 +1,81 @@
-"""Unit tests for the flow-link incidence index and components."""
+"""Unit tests for the flow-link index and congestion components."""
 
 from random import Random
 
 from repro.simnet.flows import Flow
-from repro.simnet.incidence import FlowIncidence, split_components
+from repro.simnet.flowtable import FlowTable
+from repro.simnet.incidence import ArrayIncidence, split_components
 
 
 def _flow(path, size=100.0):
     return Flow(src="server0", dst="server1", size=size, path=tuple(path))
 
 
+def _indexed(flows):
+    """An index over ``flows``, started in list order."""
+    table = FlowTable()
+    inc = ArrayIncidence(table)
+    for seq, flow in enumerate(flows):
+        table.bind(flow, seq, 0.0)
+        inc.add(flow)
+    return inc, table
+
+
+def _ids(comps):
+    return [[f.flow_id for f in comp] for comp in comps]
+
+
 def test_add_and_remove_maintain_per_link_population():
-    inc = FlowIncidence()
     f1 = _flow(["a", "b"])
     f2 = _flow(["b", "c"])
-    inc.add(f1)
-    inc.add(f2)
-    assert list(inc.links()) == ["a", "b", "c"]
+    inc, table = _indexed([f1, f2])
+    assert inc.links() == ["a", "b", "c"]
     assert inc.count("a") == 1
     assert inc.count("b") == 2
     assert [f.flow_id for f in inc.flows_on("b")] == [f1.flow_id, f2.flow_id]
     inc.remove(f1)
-    # Links with no remaining flows disappear from the index entirely.
-    assert list(inc.links()) == ["b", "c"]
+    table.unbind(f1)
+    # Links with no remaining flows drop out of the populated set.
+    assert inc.links() == ["b", "c"]
     assert inc.count("a") == 0
-    assert list(inc.flows_on("a")) == []
+    assert inc.flows_on("a") == []
     inc.remove(f2)
-    assert list(inc.links()) == []
+    assert inc.links() == []
 
 
 def test_remove_is_idempotent():
-    inc = FlowIncidence()
     f1 = _flow(["a"])
-    inc.add(f1)
+    inc, _ = _indexed([f1])
     inc.remove(f1)
-    inc.remove(f1)  # no KeyError on double-remove
+    inc.remove(f1)  # no error on double-remove
     assert inc.count("a") == 0
 
 
 def test_components_found_only_from_seed_links():
-    inc = FlowIncidence()
     f1 = _flow(["a", "b"])
     f2 = _flow(["b", "c"])
     f3 = _flow(["x"])  # disjoint component
-    order = {}
-    for i, f in enumerate([f1, f2, f3]):
-        inc.add(f)
-        order[f.flow_id] = i
-    key = lambda f: order[f.flow_id]  # noqa: E731
+    inc, _ = _indexed([f1, f2, f3])
 
     # Seeding from "c" reaches f2, then f1 via the shared link "b",
     # but never the disjoint component on "x".
-    comps = inc.components(["c"], key)
-    assert len(comps) == 1
-    flows, links = comps[0]
-    assert [f.flow_id for f in flows] == [f1.flow_id, f2.flow_id]
-    assert set(links) == {"a", "b", "c"}
+    assert _ids(inc.discover(["c"])) == [[f1.flow_id, f2.flow_id]]
+    batch = inc.batch(inc.discover(["c"]))
+    assert batch.link_ids() == ["a", "b", "c"]
 
     # Seeding from all links reaches both components, ordered by their
-    # earliest member.
-    comps = inc.components(["x", "c"], key)
-    assert [[f.flow_id for f in flows] for flows, _ in comps] == [
-        [f1.flow_id, f2.flow_id],
-        [f3.flow_id],
-    ]
+    # earliest member; unknown seed links are ignored.
+    expected = [[f1.flow_id, f2.flow_id], [f3.flow_id]]
+    assert _ids(inc.discover(["x", "c", "nowhere"])) == expected
+    assert _ids(inc.discover()) == expected
 
 
 def test_components_independent_of_seed_order():
-    inc = FlowIncidence()
     flows = [_flow(["a"]), _flow(["b"]), _flow(["c"])]
-    order = {}
-    for i, f in enumerate(flows):
-        inc.add(f)
-        order[f.flow_id] = i
-    key = lambda f: order[f.flow_id]  # noqa: E731
-    forward = inc.components(["a", "b", "c"], key)
-    backward = inc.components(["c", "b", "a"], key)
-    as_ids = lambda comps: [  # noqa: E731
-        ([f.flow_id for f in flows], sorted(links)) for flows, links in comps
-    ]
-    assert as_ids(forward) == as_ids(backward)
+    inc, _ = _indexed(flows)
+    forward = inc.discover(["a", "b", "c"])
+    backward = inc.discover(["c", "b", "a"])
+    assert _ids(forward) == _ids(backward) == [[f.flow_id] for f in flows]
 
 
 def test_split_components_partitions_by_shared_links():
@@ -106,15 +102,5 @@ def test_split_components_agrees_with_incidence_bfs():
     flows = [
         _flow(rng.sample(links, rng.randint(1, 4))) for _ in range(30)
     ]
-    inc = FlowIncidence()
-    order = {}
-    for i, f in enumerate(flows):
-        inc.add(f)
-        order[f.flow_id] = i
-    key = lambda f: order[f.flow_id]  # noqa: E731
-    via_bfs = [
-        [f.flow_id for f in comp_flows]
-        for comp_flows, _ in inc.components(list(inc.links()), key)
-    ]
-    via_union_find = [[f.flow_id for f in g] for g in split_components(flows)]
-    assert via_bfs == via_union_find
+    inc, _ = _indexed(flows)
+    assert _ids(inc.discover()) == _ids(split_components(flows))

@@ -2,6 +2,12 @@
 (:mod:`repro.simnet.kernels`) against the object solver
 (:func:`repro.simnet.fairness.solve_component`).
 
+The kernels are driven the way the fabric drives them: the flows are
+indexed in an :class:`~repro.simnet.incidence.ArrayIncidence`, their
+components discovered and flattened into a batch, and the batch handed
+to :func:`~repro.simnet.kernels.solve_components` with per-link
+capacities and schedulers.
+
 The numeric contract (DESIGN.md 5i): per-flow rates agree within
 1e-12 relative, modulo reassociation crumbs below a few ulp of the
 component's capacity scale (the kernels compute residual capacity
@@ -26,12 +32,9 @@ from repro.simnet.fairness import (
     solve_component,
 )
 from repro.simnet.flows import Flow, reset_flow_ids
-from repro.simnet.incidence import split_components
-from repro.simnet.kernels import (
-    KernelComponent,
-    component_specs,
-    solve_batch,
-)
+from repro.simnet.flowtable import FlowTable
+from repro.simnet.incidence import ArrayIncidence, split_components
+from repro.simnet.kernels import solve_components
 
 KINDS = [("fair",), ("wfq",), ("prio",), ("fair", "wfq", "prio")]
 CAP_SCALES = [100.0, 5e9, 1e10]
@@ -94,13 +97,39 @@ def _solve_object(views):
     return rates
 
 
-def _kernel_components(views):
-    comps = []
-    for comp, on_link, ccaps, cscheds in views:
-        specs = component_specs(on_link, cscheds)
-        assert specs is not None, "kernel spec extraction failed"
-        comps.append(KernelComponent(comp, on_link, ccaps, specs))
-    return comps
+def _kernel_batch(flows, caps, schedulers):
+    """Index ``flows`` (in list order) and flatten every component
+    into one batch, as the fabric's recompute does; returns the batch
+    and its per-link capacity and scheduler lists."""
+    table = FlowTable()
+    index = ArrayIncidence(table)
+    for seq, flow in enumerate(flows):
+        table.bind(flow, seq, 0.0)
+        index.add(flow)
+    batch = index.batch(index.discover())
+    lids = batch.link_ids()
+    return (
+        batch,
+        np.array([caps[lid] for lid in lids]),
+        [schedulers[lid] for lid in lids],
+    )
+
+
+def _rates_by_id(batch, rates):
+    flow_of = batch.incidence.table.flow_of
+    return {
+        flow_of[slot].flow_id: rate
+        for slot, rate in zip(batch.slots.tolist(), rates.tolist())
+    }
+
+
+def _solve_kernels(flows, caps, schedulers):
+    """``flow_id -> rate`` from one batched kernel solve; every
+    component must have a kernel form."""
+    batch, link_caps, link_scheds = _kernel_batch(flows, caps, schedulers)
+    rates, solved, _ = solve_components(batch, link_caps, link_scheds)
+    assert solved.all(), "kernel spec extraction failed"
+    return _rates_by_id(batch, rates)
 
 
 def _assert_close(obj, vec, max_cap):
@@ -139,14 +168,22 @@ def test_kernels_match_object_solver(seed):
     flows, caps, schedulers = _make_case(
         rng, n_flows, n_links, kinds, cap_scale
     )
-    views = _component_views(flows, caps, schedulers)
-    obj = _solve_object(views)
-    comps = _kernel_components(views)
-    batched = solve_batch(comps)
+    obj = _solve_object(_component_views(flows, caps, schedulers))
+    batch, link_caps, link_scheds = _kernel_batch(flows, caps, schedulers)
+    rates, solved, _ = solve_components(batch, link_caps, link_scheds)
+    assert solved.all()
+    batched = _rates_by_id(batch, rates)
     _assert_close(obj, batched, max(caps.values()))
     sequential = {}
-    for comp in comps:
-        sequential.update(solve_batch([comp]))
+    for ci in range(batch.n_comps):
+        sub = batch.select(np.array([ci]))
+        sub_rates, sub_solved, _ = solve_components(
+            sub,
+            link_caps[sub.parent_link_idx],
+            [link_scheds[li] for li in sub.parent_link_idx.tolist()],
+        )
+        assert sub_solved.all()
+        sequential.update(_rates_by_id(sub, sub_rates))
     assert batched == sequential, (
         "batched padded solve differs from per-component solves"
     )
@@ -169,7 +206,7 @@ def test_all_fair_at_datacenter_scale_regression():
     caps = {lid: rng.uniform(1e9, 5e9) for lid in links}
     schedulers = {lid: FairScheduler() for lid in links}
     views = _component_views(flows, caps, schedulers)
-    rates = solve_batch(_kernel_components(views))
+    rates = _solve_kernels(flows, caps, schedulers)
     assert all(math.isfinite(r) for r in rates.values())
     _assert_close(_solve_object(views), rates, max(caps.values()))
 
@@ -189,9 +226,8 @@ def test_zero_weight_wfq_queue_gets_zero_rate():
             weight_of=lambda q: 0.0 if q == 0 else 1.0,
         )
     }
-    views = _component_views(flows, caps, schedulers)
-    obj = _solve_object(views)
-    vec = solve_batch(_kernel_components(views))
+    obj = _solve_object(_component_views(flows, caps, schedulers))
+    vec = _solve_kernels(flows, caps, schedulers)
     _assert_close(obj, vec, 10.0)
     assert obj[flows[0].flow_id] == 0.0
     assert vec[flows[2].flow_id] == pytest.approx(10.0)
@@ -259,9 +295,12 @@ def test_duck_typed_scheduler_takes_general_path():
     assert rates == pytest.approx(
         {f.flow_id: 2.0 for f in comp}, rel=1e-4
     )
-    # And the kernels refuse it (no kernel_spec), routing the
+    # And the kernels refuse it (no kernel_spec), leaving the
     # component to the object solver rather than guessing.
-    assert component_specs(on_link, cscheds) is None
+    batch, link_caps, link_scheds = _kernel_batch(comp, ccaps, cscheds)
+    rates, solved, _ = solve_components(batch, link_caps, link_scheds)
+    assert not solved.any()
+    assert not rates.any()
 
 
 def test_base_scheduler_declares_no_uniform_fairness():

@@ -62,6 +62,24 @@ def test_accumulator_drift_detected():
     _raises(fabric, "link_accumulator_drift")
 
 
+def test_link_index_drift_detected():
+    fabric = _loaded_fabric()
+    flow = fabric.active_flows[0]
+    # Drop one flow from the fabric's flow index behind its back: the
+    # index no longer lists it on the links its path crosses.
+    fabric._incidence.remove(flow)
+    _raises(fabric, "link_index_drift")
+
+
+def test_link_index_drift_detected_on_stale_path():
+    fabric = _loaded_fabric()
+    first, second = fabric.active_flows[:2]
+    # A path rewritten without re-indexing (a reroute that skipped the
+    # index) leaves the index listing the flow on its old links.
+    first.path = second.path
+    _raises(fabric, "link_index_drift")
+
+
 def test_over_capacity_detected():
     fabric = _loaded_fabric()
     flow = fabric.active_flows[0]
