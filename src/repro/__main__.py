@@ -77,6 +77,29 @@ def runner_from_args(args):
     )
 
 
+def _narrator(args):
+    """Bench progress narration: stderr, or nothing under ``--quiet``."""
+    if args.quiet:
+        return lambda message: None
+    return lambda message: print(message, file=sys.stderr)
+
+
+def _emit(args, text: str, checks=(), shown=None) -> None:
+    """Print a result (``shown``, default ``text``), write ``text`` to
+    ``--out``, then exit non-zero on the first failed ``(ok, message)``
+    check -- after the artifact is written, so a failed run still
+    leaves it behind."""
+    from repro.bench import write
+
+    print(text if shown is None else shown)
+    if args.out:
+        write(text, args.out)
+        print(f"wrote {args.out}", file=sys.stderr)
+    for ok, message in checks:
+        if not ok:
+            raise SystemExit(f"error: {message}")
+
+
 def _fig1a(args) -> None:
     from repro.experiments.fig1 import run_fig1a
 
@@ -222,22 +245,19 @@ def _sweep(args) -> None:
         return
 
     if args.experiment == "bench":
-        from repro.sweep.bench import run_bench, write_bench
+        from repro.bench import BENCH_NODES, dumps, run_sweep
 
-        progress = None if args.quiet else print
-        payload = run_bench(
+        payload = run_sweep(
             workloads=args.workloads,
             fractions=args.fractions,
-            n_nodes=args.nodes if args.nodes is not None else 32,
+            n_nodes=args.nodes if args.nodes is not None else BENCH_NODES,
             jobs=args.jobs,
-            progress=progress,
+            progress=_narrator(args),
         )
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        if args.out:
-            write_bench(payload, args.out)
-            print(f"wrote {args.out}", file=sys.stderr)
-        if not payload["identical_results"]:
-            raise SystemExit("error: serial and parallel tables differ")
+        _emit(args, dumps(payload), [
+            (payload["identical_results"],
+             "serial and parallel tables differ"),
+        ])
         return
 
     try:
@@ -269,8 +289,6 @@ def _sweep(args) -> None:
 
 
 def _faults(args) -> None:
-    import json
-
     from repro.experiments.extension_faults import (
         run_faults, run_faults_smoke,
     )
@@ -292,16 +310,8 @@ def _faults(args) -> None:
         if mtbfs is not None:
             kwargs["mtbfs"] = mtbfs
         result = run_faults(**kwargs)
-    payload = result.to_json()
-    if args.json:
-        print(payload)
-    else:
-        print(get_experiment("faults").render(result))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload)
-            handle.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+    _emit(args, result.to_json(),
+          shown=None if args.json else get_experiment("faults").render(result))
 
 
 def _online(args) -> None:
@@ -316,16 +326,8 @@ def _online(args) -> None:
     else:
         result = run_online(seed=args.seed, waves=args.waves,
                             runner=runner)
-    payload = result.to_json()
-    if args.json:
-        print(payload)
-    else:
-        print(get_experiment("online").render(result))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload)
-            handle.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+    _emit(args, result.to_json(),
+          shown=None if args.json else get_experiment("online").render(result))
 
 
 def _service(args) -> None:
@@ -342,32 +344,19 @@ def _service(args) -> None:
         if args.flaps:
             kwargs["flap_counts"] = tuple(args.flaps)
         result = run_service(**kwargs)
-    payload = result.to_json()
-    if args.json:
-        print(payload)
-    else:
-        print(get_experiment("service").render(result))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload)
-            handle.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    if not result.identical:
-        raise SystemExit(
-            "error: zero-fault service run diverged from the static "
-            "harness"
-        )
-    if not all(p.recovered for p in result.points):
-        raise SystemExit(
-            "error: flows were left off their canonical paths after "
-            "the last recovery"
-        )
+    _emit(args, result.to_json(), [
+        (result.identical,
+         "zero-fault service run diverged from the static harness"),
+        (all(p.recovered for p in result.points),
+         "flows were left off their canonical paths after the last "
+         "recovery"),
+    ], shown=None if args.json else get_experiment("service").render(result))
 
 
 def _storm(args) -> None:
-    import json
     from dataclasses import replace
 
+    from repro.bench import dumps, header
     from repro.storm import PRESETS, run_fuzz_campaign, run_storm
 
     if args.action == "list":
@@ -390,29 +379,24 @@ def _storm(args) -> None:
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         report = run_storm(config)
-        payload = report.dumps()
-        print(payload)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(payload)
-                handle.write("\n")
-            print(f"wrote {args.out}", file=sys.stderr)
-        if not report.ok:
-            raise SystemExit(
-                f"error: {len(report.violations)} invariant "
-                "violation(s); see the report above"
-            )
         print(f"generator throughput: {report.flows_per_sec:.0f} "
               f"flows/s ({report.completed} flows in "
               f"{report.wall_seconds:.2f}s)", file=sys.stderr)
-        if args.min_flows_per_sec > 0 and (
-            report.flows_per_sec < args.min_flows_per_sec
-        ):
-            raise SystemExit(
-                f"error: generator throughput {report.flows_per_sec:.0f} "
-                f"flows/s is below the required "
-                f"{args.min_flows_per_sec:.0f}"
-            )
+        # The printed report stays machine-independent; the artifact
+        # adds provenance and the wall-clock numbers the floor checks.
+        payload = header(f"storm.{args.preset}")
+        payload.update(
+            report.to_json(),
+            wall_seconds=round(report.wall_seconds, 4),
+            flows_per_sec=round(report.flows_per_sec, 1),
+        )
+        _emit(args, dumps(payload), shown=report.dumps(), checks=[
+            (report.ok, f"{len(report.violations)} invariant violation(s); "
+                        "see the report above"),
+            (report.flows_per_sec >= args.min_flows_per_sec,
+             f"generator throughput {report.flows_per_sec:.0f} flows/s is "
+             f"below the required {args.min_flows_per_sec:.0f}"),
+        ])
         return
 
     # fuzz
@@ -423,134 +407,78 @@ def _storm(args) -> None:
         runner=runner,
         equivalence=not args.no_equivalence,
     )
-    payload = json.dumps(report, indent=2, sort_keys=True)
-    print(payload)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload)
-            handle.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    if report["failed"]:
-        raise SystemExit(
-            f"error: {report['failed']} of {report['scenarios']} "
-            f"scenario(s) violated an invariant; reproduce with "
-            f"repro.storm.fuzz.fuzz_one(seed) for seed in "
-            f"{report['failing_seeds'][:10]}"
-        )
+    _emit(args, dumps(report), [
+        (not report["failed"],
+         f"{report['failed']} of {report['scenarios']} scenario(s) "
+         f"violated an invariant; reproduce with "
+         f"repro.storm.fuzz.fuzz_one(seed) for seed in "
+         f"{report['failing_seeds'][:10]}"),
+    ])
 
 
 def _fabric(args) -> None:
-    import json
+    from repro.bench import dumps, run_fabric
 
-    from repro.simnet.bench import (
-        run_bench, run_fig10_smoke, run_hyperscale, write_bench,
+    payload = run_fabric(
+        args.scenario,
+        overrides={
+            "n_spine": args.spine, "n_leaf": args.leaf, "n_tor": args.tor,
+            "servers_per_tor": args.servers_per_tor, "apps": args.apps,
+            "fanout": args.fanout, "waves": args.waves, "seed": args.seed,
+        },
+        backend=args.backend,
+        progress=_narrator(args),
     )
-
-    progress = None if args.quiet else (
-        lambda msg: print(msg, file=sys.stderr)
-    )
-    if args.scenario == "hyperscale":
-        payload = run_hyperscale(
-            scenario={
-                "n_spine": args.spine, "n_leaf": args.leaf,
-                "n_tor": args.tor,
-                "servers_per_tor": args.servers_per_tor,
-                "waves": args.waves, "seed": args.seed,
-            },
-            progress=progress, backend=args.backend, profile=args.profile,
-        )
-    elif args.scenario == "fig10":
-        payload = run_fig10_smoke(
-            scenario={
-                "n_spine": args.spine, "n_leaf": args.leaf,
-                "n_tor": args.tor,
-                "servers_per_tor": args.servers_per_tor, "apps": args.apps,
-                "fanout": args.fanout, "waves": args.waves,
-                "seed": args.seed,
-            },
-            progress=progress, backend=args.backend, profile=args.profile,
-        )
-    else:
-        payload = run_bench(
-            scenario={
-                "n_spine": args.spine, "n_leaf": args.leaf,
-                "n_tor": args.tor,
-                "servers_per_tor": args.servers_per_tor, "apps": args.apps,
-                "fanout": args.fanout, "waves": args.waves,
-                "seed": args.seed,
-            },
-            progress=progress, backend=args.backend, profile=args.profile,
-        )
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        write_bench(payload, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if not payload["identical_results"]:
-        raise SystemExit(
-            "error: solver backends disagree on completion times "
-            f"(max rel {payload['max_rel_completion_diff']:.2e})"
-        )
+    checks = [
+        (payload["identical_results"],
+         "solver backends disagree on completion times "
+         f"(max rel {payload['max_rel_completion_diff']:.2e})"),
+    ]
     if args.scenario == "corun":
-        if not payload["vector_identical_results"]:
-            raise SystemExit(
-                "error: vectorized run diverged from the object solver "
-                f"(max rel {payload['vector_max_rel_completion_diff']:.2e})"
-            )
-        if payload["speedup"] < args.min_speedup:
-            raise SystemExit(
-                f"error: incremental speedup {payload['speedup']:.2f}x is "
-                f"below the required {args.min_speedup:.2f}x"
-            )
-    if args.scenario == "hyperscale" and args.min_flows_per_sec > 0:
+        checks += [
+            (payload["vector_identical_results"],
+             "vectorized run diverged from the object solver (max rel "
+             f"{payload['vector_max_rel_completion_diff']:.2e})"),
+            (payload["speedup"] >= args.min_speedup,
+             f"incremental speedup {payload['speedup']:.2f}x is below "
+             f"the required {args.min_speedup:.2f}x"),
+        ]
+    if args.scenario == "hyperscale":
         fps = payload["vector"]["flows_per_sec"] or 0.0
-        if fps < args.min_flows_per_sec:
-            raise SystemExit(
-                f"error: hyperscale throughput {fps:.0f} flows/s is "
-                f"below the required {args.min_flows_per_sec:.0f}"
-            )
+        checks.append((
+            fps >= args.min_flows_per_sec,
+            f"hyperscale throughput {fps:.0f} flows/s is below the "
+            f"required {args.min_flows_per_sec:.0f}",
+        ))
+    _emit(args, dumps(payload), checks)
 
 
 def _control(args) -> None:
-    import json
+    from repro.bench import dumps, run_control
 
-    from repro.core.bench import run_bench, write_bench
-
-    progress = None if args.quiet else (
-        lambda msg: print(msg, file=sys.stderr)
-    )
-    payload = run_bench(
-        scenario={
+    payload = run_control(
+        overrides={
             "n_spine": args.spine, "n_leaf": args.leaf, "n_tor": args.tor,
             "servers_per_tor": args.servers_per_tor, "apps": args.apps,
             "conns_per_app": args.conns_per_app, "rounds": args.rounds,
             "seed": args.seed,
         },
-        progress=progress,
+        progress=_narrator(args),
     )
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        write_bench(payload, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if not payload["identical_tables"]:
-        raise SystemExit(
-            "error: signature-cached run programmed different port tables"
-        )
-    if not payload["identical_coalesced_tables"]:
-        raise SystemExit(
-            "error: coalesced run converged to different port tables"
-        )
     skips = payload["signatures_on"]["signature_skips"]
-    if skips < args.min_skips:
-        raise SystemExit(
-            f"error: signature cache skipped only {skips} port updates "
-            f"(required {args.min_skips})"
-        )
-    if payload["signature_speedup"] < args.min_speedup:
-        raise SystemExit(
-            f"error: signature-cache speedup "
-            f"{payload['signature_speedup']:.2f}x is below the required "
-            f"{args.min_speedup:.2f}x"
-        )
+    speedup = payload["signature_speedup"]
+    _emit(args, dumps(payload), [
+        (payload["identical_tables"],
+         "signature-cached run programmed different port tables"),
+        (payload["identical_coalesced_tables"],
+         "coalesced run converged to different port tables"),
+        (skips >= args.min_skips,
+         f"signature cache skipped only {skips} port updates "
+         f"(required {args.min_skips})"),
+        (speedup >= args.min_speedup,
+         f"signature-cache speedup {speedup:.2f}x is below the required "
+         f"{args.min_speedup:.2f}x"),
+    ])
 
 
 def _report(args) -> None:
@@ -767,9 +695,6 @@ def main(argv=None) -> int:
             p.add_argument("--min-flows-per-sec", type=float, default=0.0,
                            help="fail below this completed-flows/sec "
                                 "throughput (hyperscale only; default off)")
-            p.add_argument("--profile", action="store_true",
-                           help="cProfile the vectorized run and report "
-                                "the top-25 cumulative entries")
             p.add_argument("--quiet", action="store_true",
                            help="suppress progress narration")
             continue

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -64,16 +64,14 @@ __all__ = ["DEFAULT_C_SABA", "ControllerStats", "SabaController"]
 
 @dataclass
 class ControllerStats:
-    """Observability counters for tests and the Figure 12 benchmark."""
+    """Control-plane event counters; the allocation work they cause
+    is counted in ``pipeline.stats``."""
 
     registrations: int = 0
     deregistrations: int = 0
     conn_creates: int = 0
     conn_destroys: int = 0
     reclusterings: int = 0
-    port_allocations: int = 0
-    optimizer_calls: int = 0
-    calc_times: List[float] = field(default_factory=list)
 
 
 class _ControllerView:
@@ -218,7 +216,6 @@ class SabaController:
             use_signature_cache=use_signature_cache,
             coalesce_quantum=coalesce_quantum,
             observer=self.observer,
-            mirror_stats=self.stats,
         )
 
     # -- software-interface endpoints (called via the Saba library) ---------

@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -120,16 +120,14 @@ class MappingDatabase:
 
 @dataclass
 class DistributedStats:
-    """Control-plane accounting across all shards."""
+    """Control-plane accounting across all shards; the allocation
+    work it causes is counted in ``pipeline.stats``."""
 
     registrations: int = 0
     deregistrations: int = 0
     conn_creates: int = 0
     conn_destroys: int = 0
     forwards: int = 0
-    port_allocations: int = 0
-    optimizer_calls: int = 0
-    calc_times: List[float] = field(default_factory=list)
     per_shard_messages: Counter = field(default_factory=Counter)
 
 
@@ -230,7 +228,6 @@ class DistributedControllerGroup:
             use_signature_cache=use_signature_cache,
             coalesce_quantum=coalesce_quantum,
             observer=self.observer,
-            mirror_stats=self.stats,
             port_context=self._port_context,
         )
 

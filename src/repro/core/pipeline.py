@@ -51,7 +51,7 @@ On top of the shared path sit two perf layers:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -141,7 +141,6 @@ class PipelineStats:
     invalidations_skipped: int = 0
     coalesced_updates: int = 0
     coalesce_flushes: int = 0
-    calc_times: List[float] = field(default_factory=list)
 
 
 def make_port_scheduler(
@@ -262,7 +261,6 @@ class AllocationPipeline:
         use_signature_cache: bool = True,
         coalesce_quantum: float = 0.0,
         observer: Optional[Observer] = None,
-        mirror_stats: Optional[object] = None,
         port_context: Optional[
             Callable[[str], Mapping[str, object]]
         ] = None,
@@ -282,9 +280,6 @@ class AllocationPipeline:
             coalesce_quantum: sim-seconds to batch connection-churn
                 updates over; ``0`` (default) reallocates eagerly.
             observer: observability sink (:mod:`repro.obs`).
-            mirror_stats: legacy frontend stats object; matching
-                counter attributes (``port_allocations``,
-                ``optimizer_calls``, ``calc_times``) are kept in sync.
             port_context: extra key/values for per-port events (the
                 distributed frontend adds the owning shard).
         """
@@ -305,7 +300,6 @@ class AllocationPipeline:
             metrics_prefix=metrics_prefix,
         )
         self.stats = PipelineStats()
-        self._mirror = mirror_stats
         self._port_context = port_context
         self._fabric: Optional[FluidFabric] = None
         self._weight_cache: Dict[Tuple[str, ...], List[float]] = {}
@@ -334,11 +328,6 @@ class AllocationPipeline:
     def _sim_now(self) -> float:
         """Simulated timestamp for event records (0 when detached)."""
         return self._fabric.sim.now if self._fabric is not None else 0.0
-
-    def _mirror_add(self, attr: str, amount: int = 1) -> None:
-        mirror = self._mirror
-        if mirror is not None and hasattr(mirror, attr):
-            setattr(mirror, attr, getattr(mirror, attr) + amount)
 
     def _sync_epoch(self) -> None:
         """Lazily drop the Eq. 2 cache when the PL state changed."""
@@ -445,10 +434,6 @@ class AllocationPipeline:
             if self._reallocate_port(link_id, force=force):
                 changed.append(link_id)
         elapsed = time.perf_counter() - t0
-        self.stats.calc_times.append(elapsed)
-        mirror = self._mirror
-        if mirror is not None and hasattr(mirror, "calc_times"):
-            mirror.calc_times.append(elapsed)
         obs = self.observer
         if obs.enabled:
             prefix = self.metrics_prefix
@@ -524,7 +509,6 @@ class AllocationPipeline:
                 self._note_skip(obs)
                 return False
         self.stats.port_allocations += 1
-        self._mirror_add("port_allocations")
         hierarchy = self._view.hierarchy()
         assert hierarchy is not None
         # Hierarchy rows are positional per epoch; PL ids are stable
@@ -580,7 +564,6 @@ class AllocationPipeline:
         prefix = self.metrics_prefix
         if weights_sorted is None:
             self.stats.optimizer_calls += 1
-            self._mirror_add("optimizer_calls")
             ordered_models = [models[i] for i in order]
             solve_stats: Optional[dict] = None
             if obs.enabled:

@@ -19,8 +19,10 @@ produce bit-identical tables.
   events/metrics/manifests, progress narration.
 * :mod:`repro.sweep.registry` -- the named experiments behind
   ``python -m repro sweep <experiment>``.
-* :mod:`repro.sweep.bench` -- serial-vs-parallel wall-time benchmark
-  (``python -m repro sweep bench``), emitting ``BENCH_sweep.json``.
+
+The serial-vs-parallel wall-time benchmark (``python -m repro sweep
+bench``, ``BENCH_sweep.json``) lives with the other benches in
+:mod:`repro.bench`.
 
 Typical use::
 

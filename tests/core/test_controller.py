@@ -118,8 +118,8 @@ def test_weight_cache_hits(controller):
     # Two distinct multisets ever solved: {LR} (before b's connection
     # arrives at the port) and {LR, PR}; the other five port
     # allocations hit the cache.
-    assert controller.stats.optimizer_calls == 2
-    assert controller.stats.port_allocations >= 6
+    assert controller.pipeline.stats.optimizer_calls == 2
+    assert controller.pipeline.stats.port_allocations >= 6
 
 
 def test_flows_carry_pl_through_library_path(small_table):

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 
-from repro.sweep.bench import run_bench, write_bench
+from repro.bench import dumps, run_sweep, write
 
 
 def test_run_bench_reduced_grid(tmp_path):
     lines = []
-    payload = run_bench(
+    payload = run_sweep(
         workloads=("SQL", "LR"),
         fractions=(0.5, 1.0),
         n_nodes=4,
@@ -25,14 +25,14 @@ def test_run_bench_reduced_grid(tmp_path):
     assert any("bench" in line for line in lines)
 
     out = tmp_path / "BENCH_sweep.json"
-    write_bench(payload, str(out))
+    write(dumps(payload), str(out))
     assert json.loads(out.read_text())["bench"] == "sweep.profile-catalog"
 
 
 def test_run_bench_caps_degree_to_grid():
     # A 2-point grid can only support a linear fit; the bench must not
     # ask for the default cubic.
-    payload = run_bench(workloads=("SQL",), fractions=(0.5,), n_nodes=4,
+    payload = run_sweep(workloads=("SQL",), fractions=(0.5,), n_nodes=4,
                         jobs=1)
     assert payload["identical_results"] is True
     assert payload["grid"]["fractions"] == [0.5, 1.0]

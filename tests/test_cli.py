@@ -92,6 +92,8 @@ def test_storm_run_smoke_writes_report(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["ok"] is True
     assert payload["injected"] > 0
+    # The artifact carries the number CI's throughput floor checks.
+    assert payload["flows_per_sec"] > 0
 
 
 def test_storm_run_unknown_preset_is_clean_error():
