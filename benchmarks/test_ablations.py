@@ -16,7 +16,8 @@ import pytest
 from repro.core.allocation import AllocationProblem, optimize_weights
 from repro.core.profiler import OfflineProfiler
 from repro.experiments.common import geomean
-from repro.experiments.fig8 import run_fig8
+from repro.experiments.fig8 import fig8_sweep_spec
+from repro.sweep import default_runner
 from repro.workloads.catalog import CATALOG
 
 
@@ -78,10 +79,10 @@ def test_ablation_collapse_alpha(benchmark, catalog_table):
 
     def sweep():
         return {
-            alpha: run_fig8(
+            alpha: default_runner().run(fig8_sweep_spec(
                 n_setups=2, jobs_per_setup=12, table=catalog_table,
                 collapse_alpha=alpha,
-            ).average_speedup
+            )).value.average_speedup
             for alpha in (0.0, 0.04, 0.08)
         }
 

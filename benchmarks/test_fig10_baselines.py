@@ -21,18 +21,17 @@ the same three-tier shape; SABA_FULL_SCALE=1 uses the paper's
 
 from _config import scale
 
-from repro.experiments.fig10_fig11 import run_fig10
+from repro.experiments.fig10_fig11 import PAPER_TOPOLOGY, fig10_sweep_spec
+from repro.sweep import default_runner
 
 
 def test_fig10_policy_comparison(benchmark):
-    topology_kwargs = scale(
-        None,
-        dict(n_spine=54, n_leaf=102, n_tor=108, servers_per_tor=18),
-    )
+    topology_kwargs = scale(None, PAPER_TOPOLOGY)
 
     result = benchmark.pedantic(
-        run_fig10,
-        kwargs=dict(topology_kwargs=topology_kwargs),
+        lambda: default_runner().run(
+            fig10_sweep_spec(topology_kwargs=topology_kwargs)
+        ).value,
         rounds=1,
         iterations=1,
     )

@@ -7,16 +7,17 @@ counts up to 3x stay accurate, 4x degrades most models.
 """
 
 from repro.experiments.fig5_fig6 import (
-    run_fig5,
-    run_fig6a,
+    fig5_sweep_spec,
+    fig6a_sweep_spec,
     run_fig6b,
     run_fig6c,
 )
+from repro.sweep import default_runner
 from repro.workloads.catalog import CATALOG
 
 
 def test_fig5_model_fits(benchmark):
-    panels = benchmark(run_fig5)
+    panels = benchmark(lambda: default_runner().run(fig5_sweep_spec()).value)
 
     print("\nFigure 5 -- R^2 of SQL and LR fits by degree")
     for name, panel in panels.items():
@@ -35,7 +36,7 @@ def test_fig5_model_fits(benchmark):
 
 
 def test_fig6a_accuracy_vs_degree(benchmark):
-    scores = benchmark(run_fig6a)
+    scores = benchmark(lambda: default_runner().run(fig6a_sweep_spec()).value)
 
     print("\nFigure 6a -- R^2 vs polynomial degree")
     for name, by_degree in scores.items():

@@ -13,7 +13,8 @@ Default scale: 4 setups (set SABA_FULL_SCALE=1 for the paper's 500).
 from _config import scale
 
 from repro.experiments.common import geomean
-from repro.experiments.fig8 import run_fig8
+from repro.experiments.fig8 import fig8_sweep_spec
+from repro.sweep import default_runner
 
 SENSITIVE = ("LR", "RF", "GBT", "SVM")
 INSENSITIVE = ("PR", "Sort", "WC", "SQL")
@@ -23,8 +24,9 @@ def test_fig8_testbed_speedups(benchmark, catalog_table):
     n_setups = scale(4, 500)
 
     result = benchmark.pedantic(
-        run_fig8,
-        kwargs=dict(n_setups=n_setups, table=catalog_table),
+        lambda: default_runner().run(
+            fig8_sweep_spec(n_setups=n_setups, table=catalog_table)
+        ).value,
         rounds=1,
         iterations=1,
     )

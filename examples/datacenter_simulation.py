@@ -14,8 +14,8 @@ runtime.)
 
 import argparse
 
-from repro.experiments.common import geomean
-from repro.experiments.fig10_fig11 import run_fig10
+from repro.experiments.fig10_fig11 import PAPER_TOPOLOGY, fig10_sweep_spec
+from repro.sweep import default_runner
 
 
 def main() -> None:
@@ -26,13 +26,11 @@ def main() -> None:
         help="use the paper's 54/102/108x18 spine-leaf topology",
     )
     args = parser.parse_args()
-    topology_kwargs = (
-        dict(n_spine=54, n_leaf=102, n_tor=108, servers_per_tor=18)
-        if args.full_scale
-        else None
-    )
+    topology_kwargs = PAPER_TOPOLOGY if args.full_scale else None
 
-    result = run_fig10(topology_kwargs=topology_kwargs)
+    result = default_runner().run(
+        fig10_sweep_spec(topology_kwargs=topology_kwargs)
+    ).value
 
     print("Average speedup over the InfiniBand baseline (Figure 10):")
     paper = {

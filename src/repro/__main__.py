@@ -7,14 +7,19 @@ Usage::
     python -m repro fig8 --setups 20
     python -m repro fig10 --full-scale
     python -m repro fig12 --sizes 10 100 500
+    python -m repro sweep fig8 --setups 100 --jobs auto
     python -m repro obs summarize run.jsonl
     python -m repro fabric bench --out BENCH_fabric.json
     python -m repro control bench --out BENCH_control.json
 
 Each subcommand prints the paper-style rows/series of one table or
-figure.  The pytest benchmarks (``pytest benchmarks/
---benchmark-only``) run the same harnesses with shape assertions; this
-CLI is the interactive way to poke at them.
+figure.  The sweep-backed experiments (fig5, fig8, fig10, faults,
+online, service) are defined once, in :mod:`repro.sweep.registry`:
+``python -m repro <name>`` and ``python -m repro sweep <name>`` run
+the same entry through one handler and print the same text.  The
+pytest benchmarks (``pytest benchmarks/ --benchmark-only``) run the
+same harnesses with shape assertions; this CLI is the interactive way
+to poke at them.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ def _emit(args, text: str, checks=(), shown=None) -> None:
     from repro.bench import write
 
     print(text if shown is None else shown)
-    if args.out:
+    if getattr(args, "out", None):
         write(text, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     for ok, message in checks:
@@ -127,20 +132,14 @@ def _fig2(args) -> None:
               f"mean net {panel.mean_network():.2f}")
 
 
-def _fig5(args) -> None:
-    from repro.experiments.fig5_fig6 import run_fig5
-
-    for name, panel in run_fig5().items():
-        cells = "  ".join(f"k={k}: R2={panel.r2[k]:.3f}"
-                          for k in sorted(panel.r2))
-        print(f"{name:4s} {cells}")
-
-
 def _fig6(args) -> None:
-    from repro.experiments.fig5_fig6 import run_fig6a, run_fig6b, run_fig6c
+    from repro.experiments.fig5_fig6 import (
+        fig6a_sweep_spec, run_fig6b, run_fig6c,
+    )
+    from repro.sweep import default_runner
 
     print("-- 6a: R2 vs degree")
-    for name, row in run_fig6a().items():
+    for name, row in default_runner().run(fig6a_sweep_spec()).value.items():
         print(f"  {name:5s} " + " ".join(f"k{k}:{v:.2f}" for k, v in row.items()))
     print("-- 6b: R2 vs dataset scale")
     for name, row in run_fig6b().items():
@@ -148,18 +147,6 @@ def _fig6(args) -> None:
     print("-- 6c: R2 vs node count")
     for name, row in run_fig6c().items():
         print(f"  {name:5s} " + " ".join(f"{m}x:{v:.2f}" for m, v in row.items()))
-
-
-def _fig8(args) -> None:
-    from repro.experiments.fig8 import run_fig8
-
-    result = run_fig8(n_setups=args.setups)
-    print("per-workload average speedup (paper avg: 1.88x):")
-    for name, speedup in sorted(result.per_workload_speedup.items(),
-                                key=lambda kv: -kv[1]):
-        print(f"  {name:5s} {speedup:5.2f}")
-    print(f"average: {result.average_speedup:.2f} over "
-          f"{len(result.setup_averages)} setups")
 
 
 def _fig9(args) -> None:
@@ -176,21 +163,6 @@ def _fig9(args) -> None:
     print("-- 9c: polynomial degree")
     for k, row in sorted(run_fig9c().items()):
         print(f"  k={k}: avg {average_speedups(row):.2f}")
-
-
-def _fig10(args) -> None:
-    from repro.experiments.fig10_fig11 import run_fig10
-
-    kwargs = (
-        dict(n_spine=54, n_leaf=102, n_tor=108, servers_per_tor=18)
-        if args.full_scale else None
-    )
-    result = run_fig10(topology_kwargs=kwargs)
-    paper = {"saba": 1.27, "sincronia": 1.19, "ideal-maxmin": 1.14,
-             "homa": 1.12}
-    for policy in paper:
-        print(f"{policy:13s} measured {result.average(policy):5.2f} "
-              f"(paper {paper[policy]:.2f})")
 
 
 def _fig11(args) -> None:
@@ -233,10 +205,7 @@ def _obs(args) -> None:
 
 
 def _sweep(args) -> None:
-    import json
-
-    from repro.sweep import SweepError
-    from repro.sweep.registry import REGISTRY, get_experiment
+    from repro.sweep.registry import REGISTRY
 
     if args.experiment == "list":
         for name, exp in REGISTRY.items():
@@ -260,15 +229,32 @@ def _sweep(args) -> None:
         ])
         return
 
+    _experiment(args)
+
+
+def _experiment(args) -> None:
+    """Run one :mod:`repro.sweep.registry` entry: ``python -m repro
+    <name>`` and ``python -m repro sweep <name>`` alike.
+
+    The parsed flags are the entry's options.  Commands without the
+    shared sweep flags (fig5, fig8, fig10) run on the serial
+    shared-cache runner.  Prints the rendered value (its canonical
+    JSON under ``--json``), writes the JSON -- or the rendering, for a
+    value without one -- to ``--out``, then applies the entry's exit
+    checks.
+    """
+    import json
+
+    from repro.sweep import SweepError, default_runner
+    from repro.sweep.registry import get_experiment
+
     try:
-        experiment = get_experiment(args.experiment)
-        runner = runner_from_args(args)
-        options = {
-            "setups": args.setups, "method": args.method,
-            "workloads": args.workloads, "nodes": args.nodes,
-            "degree": args.degree,
-        }
-        result = runner.run(experiment.build(options))
+        experiment = get_experiment(getattr(args, "experiment", args.command))
+        runner = (
+            runner_from_args(args) if hasattr(args, "jobs")
+            else default_runner()
+        )
+        result = runner.run(experiment.build(vars(args)))
     except SweepError as exc:
         raise SystemExit(f"error: {exc}")
     if result.failures:
@@ -279,78 +265,17 @@ def _sweep(args) -> None:
             f"error: {len(result.failures)} task(s) failed; "
             "no result to render"
         )
-    print(experiment.render(result.value))
-    if args.manifest:
+    if getattr(args, "manifest", None):
         with open(args.manifest, "w") as handle:
             json.dump(result.manifest.to_dict(), handle, indent=2,
                       sort_keys=True)
             handle.write("\n")
         print(f"wrote manifest to {args.manifest}", file=sys.stderr)
-
-
-def _faults(args) -> None:
-    from repro.experiments.extension_faults import (
-        run_faults, run_faults_smoke,
-    )
-    from repro.sweep.registry import get_experiment
-
-    runner = runner_from_args(args)
-    if args.smoke:
-        result = run_faults_smoke(seed=args.seed, runner=runner)
-    else:
-        series = ("saba",) if args.no_failover else (
-            "saba", "saba-failover"
-        )
-        mtbfs = (
-            tuple(None if m <= 0 else m for m in args.mtbf)
-            if args.mtbf else None
-        )
-        kwargs = dict(mttr=args.mttr, seed=args.seed, series=series,
-                      runner=runner)
-        if mtbfs is not None:
-            kwargs["mtbfs"] = mtbfs
-        result = run_faults(**kwargs)
-    _emit(args, result.to_json(),
-          shown=None if args.json else get_experiment("faults").render(result))
-
-
-def _online(args) -> None:
-    from repro.experiments.extension_online import (
-        run_online, run_online_smoke,
-    )
-    from repro.sweep.registry import get_experiment
-
-    runner = runner_from_args(args)
-    if args.smoke:
-        result = run_online_smoke(seed=args.seed, runner=runner)
-    else:
-        result = run_online(seed=args.seed, waves=args.waves,
-                            runner=runner)
-    _emit(args, result.to_json(),
-          shown=None if args.json else get_experiment("online").render(result))
-
-
-def _service(args) -> None:
-    from repro.experiments.extension_service import (
-        run_service, run_service_smoke,
-    )
-    from repro.sweep.registry import get_experiment
-
-    runner = runner_from_args(args)
-    if args.smoke:
-        result = run_service_smoke(seed=args.seed, runner=runner)
-    else:
-        kwargs = dict(seed=args.seed, runner=runner)
-        if args.flaps:
-            kwargs["flap_counts"] = tuple(args.flaps)
-        result = run_service(**kwargs)
-    _emit(args, result.to_json(), [
-        (result.identical,
-         "zero-fault service run diverged from the static harness"),
-        (all(p.recovered for p in result.points),
-         "flows were left off their canonical paths after the last "
-         "recovery"),
-    ], shown=None if args.json else get_experiment("service").render(result))
+    value = result.value
+    rendered = experiment.render(value)
+    text = value.to_json() if hasattr(value, "to_json") else rendered
+    _emit(args, text, experiment.checks(value),
+          shown=None if getattr(args, "json", False) else rendered)
 
 
 def _storm(args) -> None:
@@ -497,24 +422,25 @@ COMMANDS = {
     "sweep": _sweep,
     "fabric": _fabric,
     "control": _control,
-    "faults": _faults,
-    "online": _online,
-    "service": _service,
+    "faults": _experiment,
+    "online": _experiment,
+    "service": _experiment,
     "storm": _storm,
     "fig1a": _fig1a,
     "fig1b": _fig1b,
     "fig2": _fig2,
-    "fig5": _fig5,
+    "fig5": _experiment,
     "fig6": _fig6,
-    "fig8": _fig8,
+    "fig8": _experiment,
     "fig9": _fig9,
-    "fig10": _fig10,
+    "fig10": _experiment,
     "fig11": _fig11,
     "fig12": _fig12,
 }
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` parser: one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the Saba paper's tables and figures.",
@@ -561,7 +487,8 @@ def main(argv=None) -> int:
                            default=None,
                            help="bench: bandwidth fractions to profile")
             p.add_argument("--out", default=None,
-                           help="bench: also write the JSON payload here")
+                           help="also write the bench payload, or the "
+                                "experiment's canonical JSON, here")
             continue
         if name == "faults":
             p = sub.add_parser(
@@ -735,9 +662,12 @@ def main(argv=None) -> int:
             continue
         p = sub.add_parser(name, help=f"run the {name} experiment")
         if name == "fig8":
-            p.add_argument("--setups", type=int, default=10)
+            p.add_argument("--setups", type=int, default=None,
+                           help="number of cluster setups (default 10)")
         if name == "fig10":
-            p.add_argument("--full-scale", action="store_true")
+            p.add_argument("--full-scale", action="store_true",
+                           help="the paper's 1,944-server spine-leaf "
+                                "fabric (slow)")
         if name == "fig12":
             p.add_argument("--sizes", type=int, nargs="+",
                            default=[1, 10, 100, 250])
@@ -745,7 +675,11 @@ def main(argv=None) -> int:
             p.add_argument("--out", default="results")
             p.add_argument("--heavy", action="store_true",
                            help="include fig8/9/10/11/12 (slow)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     if args.command in (None, "list"):
         print("available experiments:", ", ".join(COMMANDS))
         return 0

@@ -121,7 +121,6 @@ class SabaController:
         collapse_alpha: Optional[float] = None,
         reserved_queue: Optional[int] = None,
         use_weight_cache: bool = True,
-        use_group_models: bool = False,
         use_signature_cache: bool = True,
         coalesce_quantum: float = 0.0,
         seed: int = 0,
@@ -153,9 +152,6 @@ class SabaController:
                 registration, solve, and port-programming events.  The
                 no-op default costs nothing.
             use_weight_cache: memoise Eq. 2 per application multiset.
-            use_group_models: solve Eq. 2 with PL-group centroid models
-                instead of per-application models (the information a
-                database-driven distributed controller has).
             use_signature_cache: skip reprogramming ports whose
                 programmed signature is unchanged (exact; see
                 :mod:`repro.core.pipeline`).
@@ -188,7 +184,6 @@ class SabaController:
         self.collapse_alpha = collapse_alpha
         self.reserved_queue = reserved_queue
         self.use_weight_cache = use_weight_cache
-        self.use_group_models = use_group_models
         self.observer = observer if observer is not None else NULL_OBSERVER
         self._rng = random.Random(seed)
 
@@ -362,8 +357,6 @@ class SabaController:
     # -- clustering --------------------------------------------------------------
 
     def _model_of(self, job_id: str) -> SensitivityModel:
-        if self.use_group_models and self._pl_models:
-            return self._pl_models[self._pl_of[job_id]]
         return self._provider.model_of(self._apps[job_id])
 
     # Section 5.3.1 asks for K-means over registered applications.  A

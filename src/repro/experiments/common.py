@@ -15,13 +15,15 @@ exactly the construction code the pinned experiments use.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.baselines.infiniband import DEFAULT_COLLAPSE_ALPHA, InfiniBandBaseline
 from repro.baselines.maxmin import IdealMaxMin
 from repro.cluster.jobs import Job, JobResult
 from repro.cluster.runtime import CoRunExecutor, PolicySetup
+from repro.cluster.setups import generate_setups
 from repro.core.controller import SabaController
 from repro.core.library import SabaLibrary
 from repro.core.profiler import OfflineProfiler
@@ -74,6 +76,37 @@ def build_catalog_table(
     profiler = OfflineProfiler(degree=degree, method=method)
     names = list(workloads) if workloads is not None else list(CATALOG)
     return profiler.build_table([CATALOG[n] for n in names], runner=runner)
+
+
+def staggered_corun(
+    servers: Sequence[str],
+    jobs_per_setup: int,
+    mean_gap: float,
+    seed: int,
+) -> Tuple[List[Job], List[float]]:
+    """One randomized cluster setup whose jobs arrive one by one.
+
+    The co-run the dynamism, faults, online and service studies share:
+    one :func:`~repro.cluster.setups.generate_setups` draw from
+    ``seed`` (instances capped at ``len(servers)``), exponential
+    inter-arrival gaps of mean ``mean_gap`` from ``seed + 1``, and a
+    placement on ``servers`` from ``seed + 2``.  Each stream has its
+    own generator, so the result is a pure function of the arguments;
+    call again for fresh :class:`~repro.cluster.jobs.Job` objects (a
+    run mutates them).  Returns ``(jobs, start_times)``.
+    """
+    setup = next(generate_setups(
+        n_setups=1, jobs_per_setup=jobs_per_setup, seed=seed,
+        max_instances=len(servers),
+    ))
+    arrival_rng = random.Random(seed + 1)
+    start_times: List[float] = []
+    t = 0.0
+    for _ in setup.jobs:
+        start_times.append(t)
+        t += arrival_rng.expovariate(1.0 / mean_gap)
+    jobs = setup.materialize(servers, random.Random(seed + 2), GBPS_56)
+    return jobs, start_times
 
 
 def standalone_times(

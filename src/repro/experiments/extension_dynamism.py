@@ -12,19 +12,21 @@ constantly-changing application mix -- exercising the full
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.baselines.infiniband import DEFAULT_COLLAPSE_ALPHA, InfiniBandBaseline
 from repro.cluster.runtime import CoRunExecutor
-from repro.cluster.setups import generate_setups
 from repro.core.controller import SabaController
 from repro.core.library import SabaLibrary
 from repro.core.table import SensitivityTable
-from repro.experiments.common import EXPERIMENT_QUANTUM, build_catalog_table, geomean
+from repro.experiments.common import (
+    EXPERIMENT_QUANTUM,
+    build_catalog_table,
+    geomean,
+    staggered_corun,
+)
 from repro.simnet.topology import single_switch
-from repro.units import GBPS_56
 
 
 @dataclass(frozen=True)
@@ -57,29 +59,17 @@ def run_dynamism(
     """
     if table is None:
         table = build_catalog_table(method="analytic")
-    setup = next(
-        generate_setups(
-            n_setups=1, jobs_per_setup=jobs_per_setup, seed=seed,
-            max_instances=n_servers,
-        )
-    )
-    arrival_rng = random.Random(seed + 1)
-    start_times: List[float] = []
-    t = 0.0
-    for _ in setup.jobs:
-        start_times.append(t)
-        t += arrival_rng.expovariate(1.0 / mean_gap)
 
     def run(policy, connections_factory=None):
         topo = single_switch(n_servers)
-        jobs = setup.materialize(
-            topo.servers, random.Random(seed + 2), GBPS_56
+        jobs, start_times = staggered_corun(
+            topo.servers, jobs_per_setup, mean_gap, seed
         )
         executor = CoRunExecutor(
             topo, policy=policy, connections_factory=connections_factory,
             completion_quantum=completion_quantum,
         )
-        return executor.run(jobs, start_times=list(start_times))
+        return executor.run(jobs, start_times=start_times)
 
     baseline = run(InfiniBandBaseline(collapse_alpha=collapse_alpha))
     controller = SabaController(table, collapse_alpha=collapse_alpha)

@@ -34,12 +34,10 @@ relies on this).
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.infiniband import DEFAULT_COLLAPSE_ALPHA
-from repro.cluster.setups import generate_setups
 from repro.core.distributed import DistributedControllerGroup, MappingDatabase
 from repro.core.library import SabaLibrary
 from repro.core.rpc import RpcBus, RpcRetryPolicy
@@ -51,20 +49,28 @@ from repro.experiments.common import (
     build_scenario,
     geomean,
     make_policy,
+    staggered_corun,
 )
 from repro.faults import FaultPlan, FaultSpec
-from repro.sweep import SweepRunner, SweepSpec, Task, default_runner
-from repro.units import GBPS_56
+from repro.sweep import SweepSpec, Task
 
 #: Fault-intensity grid: mean time between controller failures, in
 #: simulated seconds (``None`` = no faults, the reference point).
 #: Stage durations are tens of seconds, so MTBF 10 s means the
 #: controller spends large fractions of every job's lifetime down.
 DEFAULT_MTBFS: Tuple[Optional[float], ...] = (None, 90.0, 45.0, 20.0, 10.0)
-SMOKE_MTBFS: Tuple[Optional[float], ...] = (None, 40.0, 10.0)
 
 #: Series = resilience strategy under test.
 SERIES = ("saba", "saba-failover")
+
+#: The reduced CI grid (``faults --smoke``): :func:`faults_sweep_spec`
+#: arguments for a small cluster and three fault intensities.  Part of
+#: the compatibility surface: CI diffs its output against
+#: ``GOLDEN_faults.json``.
+SMOKE_GRID: Dict[str, Any] = dict(
+    mtbfs=(None, 40.0, 10.0), mttr=5.0, jobs_per_setup=6, n_servers=16,
+    mean_gap=3.0,
+)
 
 
 def run_faults_point(
@@ -90,17 +96,6 @@ def run_faults_point(
     and driven only by picklable arguments: the unit of work the
     faults sweep fans out.
     """
-    setup_desc = next(generate_setups(
-        n_setups=1, jobs_per_setup=jobs_per_setup, seed=seed,
-        max_instances=n_servers,
-    ))
-    arrival_rng = random.Random(seed + 1)
-    start_times: List[float] = []
-    t = 0.0
-    for _ in setup_desc.jobs:
-        start_times.append(t)
-        t += arrival_rng.expovariate(1.0 / mean_gap)
-
     spec = ScenarioSpec(
         topology="single_switch",
         topology_kwargs={"n_servers": n_servers},
@@ -108,14 +103,12 @@ def run_faults_point(
         collapse_alpha=collapse_alpha,
         completion_quantum=completion_quantum,
     )
-    topo = spec.build_topology()
-    jobs = setup_desc.materialize(topo.servers, random.Random(seed + 2),
-                                  GBPS_56)
+    jobs, start_times = staggered_corun(
+        spec.build_topology().servers, jobs_per_setup, mean_gap, seed
+    )
 
     if policy_name == "baseline":
-        results = build_scenario(spec).run(
-            jobs, start_times=list(start_times)
-        )
+        results = build_scenario(spec).run(jobs, start_times=start_times)
         return {
             "times": {j: r.completion_time for j, r in results.items()},
             "counters": {},
@@ -157,7 +150,7 @@ def run_faults_point(
         spec, setup=setup, connections_factory=connections_factory,
         faults=injector,
     )
-    results = scenario.run(jobs, start_times=list(start_times))
+    results = scenario.run(jobs, start_times=start_times)
     lib = libraries[0]
     counters: Dict[str, float] = {
         "dropped_control_messages": float(lib.dropped_control_messages),
@@ -311,47 +304,4 @@ def faults_sweep_spec(
             "completion_quantum": completion_quantum,
             "rpc_timeout": rpc_timeout, "rpc_attempts": rpc_attempts,
         },
-    )
-
-
-def run_faults(
-    mtbfs: Sequence[Optional[float]] = DEFAULT_MTBFS,
-    mttr: float = 6.0,
-    seed: int = 7,
-    jobs_per_setup: int = 10,
-    n_servers: int = 32,
-    mean_gap: float = 4.0,
-    collapse_alpha: float = DEFAULT_COLLAPSE_ALPHA,
-    table: Optional[SensitivityTable] = None,
-    series: Sequence[str] = SERIES,
-    completion_quantum: float = EXPERIMENT_QUANTUM,
-    rpc_timeout: float = 0.5,
-    rpc_attempts: int = 3,
-    runner: Optional[SweepRunner] = None,
-) -> FaultsResult:
-    """Run the full fault-intensity grid; see module docstring."""
-    runner = runner if runner is not None else default_runner()
-    spec = faults_sweep_spec(
-        mtbfs=mtbfs, mttr=mttr, seed=seed,
-        jobs_per_setup=jobs_per_setup, n_servers=n_servers,
-        mean_gap=mean_gap, collapse_alpha=collapse_alpha, table=table,
-        series=series, completion_quantum=completion_quantum,
-        rpc_timeout=rpc_timeout, rpc_attempts=rpc_attempts,
-    )
-    return runner.run(spec).value
-
-
-def run_faults_smoke(
-    seed: int = 7,
-    runner: Optional[SweepRunner] = None,
-) -> FaultsResult:
-    """Reduced grid for CI: small cluster, three fault intensities.
-
-    Fixed parameters by design -- the CI job diffs ``to_json()``
-    against a committed golden file, so this configuration is part of
-    the repo's compatibility surface.
-    """
-    return run_faults(
-        mtbfs=SMOKE_MTBFS, mttr=5.0, seed=seed, jobs_per_setup=6,
-        n_servers=16, mean_gap=3.0, runner=runner,
     )

@@ -36,12 +36,10 @@ varies between environments and would break golden byte-identity).
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.baselines.infiniband import DEFAULT_COLLAPSE_ALPHA
-from repro.cluster.setups import generate_setups
 from repro.core.table import SensitivityTable
 from repro.experiments.common import (
     EXPERIMENT_QUANTUM,
@@ -49,6 +47,7 @@ from repro.experiments.common import (
     build_catalog_table,
     build_scenario,
     geomean,
+    staggered_corun,
 )
 from repro.obs.events import (
     ONLINE_DRIFT,
@@ -59,11 +58,16 @@ from repro.obs.events import (
 )
 from repro.online import EstimatorConfig, OnlineSensitivityEstimator
 from repro.simnet.topology import single_switch
-from repro.sweep import SweepRunner, SweepSpec, Task, default_runner
-from repro.units import GBPS_56
+from repro.sweep import SweepSpec, Task
 
 #: Consecutive co-runs the online mode learns across.
 DEFAULT_WAVES = 3
+
+#: The fixed CI configuration (``online --smoke``): the default grid
+#: with the wave count pinned, whatever ``--waves`` says.  Part of the
+#: compatibility surface: CI diffs its output against
+#: ``GOLDEN_online.json``.
+SMOKE_GRID: Dict[str, Any] = dict(waves=DEFAULT_WAVES)
 
 #: Estimator tuning for the study.  In-situ samples pool heterogeneous
 #: stages of a workload, so the fit-quality gate sits below the
@@ -76,31 +80,6 @@ STUDY_ESTIMATOR = dict(
 
 #: Observer-bus event types the result reports per wave.
 _EVENTS = (ONLINE_SAMPLE, ONLINE_REFIT, ONLINE_DRIFT, ONLINE_FALLBACK)
-
-
-def _staggered_corun(
-    seed: int, jobs_per_setup: int, n_servers: int, mean_gap: float
-):
-    """One deterministic co-run: topology, jobs, arrival times.
-
-    Called once per wave -- topology link state and Job objects mutate
-    during a run, so each wave needs fresh instances; the fixed seeds
-    make every wave's workload identical.
-    """
-    setup_desc = next(generate_setups(
-        n_setups=1, jobs_per_setup=jobs_per_setup, seed=seed,
-        max_instances=n_servers,
-    ))
-    arrival_rng = random.Random(seed + 1)
-    start_times: List[float] = []
-    t = 0.0
-    for _ in setup_desc.jobs:
-        start_times.append(t)
-        t += arrival_rng.expovariate(1.0 / mean_gap)
-    topo = single_switch(n_servers)
-    jobs = setup_desc.materialize(topo.servers, random.Random(seed + 2),
-                                  GBPS_56)
-    return topo, jobs, start_times
 
 
 def run_online_point(
@@ -122,6 +101,12 @@ def run_online_point(
     co-runs; online runs ``waves`` consecutive co-runs sharing one
     estimator and reports per-wave times plus estimator telemetry.
     """
+    servers = single_switch(n_servers).servers
+
+    def corun():
+        # Fresh Job objects for every co-run: a run mutates them.
+        return staggered_corun(servers, jobs_per_setup, mean_gap, seed)
+
     def point_spec(policy: str) -> ScenarioSpec:
         return ScenarioSpec(
             topology="single_switch",
@@ -132,11 +117,9 @@ def run_online_point(
         )
 
     if mode == "baseline":
-        _, jobs, starts = _staggered_corun(
-            seed, jobs_per_setup, n_servers, mean_gap
-        )
+        jobs, starts = corun()
         results = build_scenario(point_spec("baseline")).run(
-            jobs, start_times=list(starts)
+            jobs, start_times=starts
         )
         return {
             "times": {j: r.completion_time for j, r in results.items()},
@@ -144,11 +127,9 @@ def run_online_point(
     if mode == "offline":
         if table is None:
             raise ValueError("offline mode needs a sensitivity table")
-        _, jobs, starts = _staggered_corun(
-            seed, jobs_per_setup, n_servers, mean_gap
-        )
+        jobs, starts = corun()
         results = build_scenario(point_spec("saba"), table=table).run(
-            jobs, start_times=list(starts)
+            jobs, start_times=starts
         )
         return {
             "times": {j: r.completion_time for j, r in results.items()},
@@ -168,13 +149,11 @@ def run_online_point(
             estimator=estimator,
         )
         setup = scenario.setup
-        _, jobs, starts = _staggered_corun(
-            seed, jobs_per_setup, n_servers, mean_gap
-        )
+        jobs, starts = corun()
         for job in jobs:
             setup.sampler.register_job(job)
         detach = setup.sampler.attach(observer)
-        results = scenario.run(jobs, start_times=list(starts))
+        results = scenario.run(jobs, start_times=starts)
         detach()
         wave_records.append({
             "times": {j: r.completion_time for j, r in results.items()},
@@ -333,35 +312,3 @@ def online_sweep_spec(
             estimator_overrides=dict(estimator_overrides or {}),
         ),
     )
-
-
-def run_online(
-    seed: int = 7,
-    waves: int = DEFAULT_WAVES,
-    jobs_per_setup: int = 6,
-    n_servers: int = 16,
-    mean_gap: float = 3.0,
-    collapse_alpha: float = DEFAULT_COLLAPSE_ALPHA,
-    completion_quantum: float = EXPERIMENT_QUANTUM,
-    table: Optional[SensitivityTable] = None,
-    estimator_overrides: Optional[Dict[str, float]] = None,
-    runner: Optional[SweepRunner] = None,
-) -> OnlineResult:
-    """Run the full study; see the module docstring."""
-    runner = runner if runner is not None else default_runner()
-    spec = online_sweep_spec(
-        seed=seed, waves=waves, jobs_per_setup=jobs_per_setup,
-        n_servers=n_servers, mean_gap=mean_gap,
-        collapse_alpha=collapse_alpha,
-        completion_quantum=completion_quantum, table=table,
-        estimator_overrides=estimator_overrides,
-    )
-    return runner.run(spec).value
-
-
-def run_online_smoke(
-    seed: int = 7,
-    runner: Optional[SweepRunner] = None,
-) -> OnlineResult:
-    """Fixed CI configuration -- part of the golden-file surface."""
-    return run_online(seed=seed, runner=runner)

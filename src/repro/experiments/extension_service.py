@@ -35,12 +35,10 @@ identity pair -- share byte-identical path assignments.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.infiniband import DEFAULT_COLLAPSE_ALPHA
-from repro.cluster.setups import generate_setups
 from repro.core.table import SensitivityTable
 from repro.experiments.common import (
     EXPERIMENT_QUANTUM,
@@ -49,14 +47,13 @@ from repro.experiments.common import (
     build_scenario,
     geomean,
     make_policy,
+    staggered_corun,
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro.service import AllocationService, ServiceConnections, ServiceQuotas
 from repro.simnet.flows import reset_flow_ids
 from repro.simnet.routing import Router
-from repro.simnet.topology import fat_tree
-from repro.sweep import SweepRunner, SweepSpec, Task, default_runner
-from repro.units import GBPS_56
+from repro.sweep import SweepSpec, Task
 
 #: Aggregation-core duplex pairs flapped, in order, as the flap count
 #: grows.  Spread across pods so each flap stresses a different ECMP
@@ -76,7 +73,11 @@ _PHASE = 2.0
 
 #: Flap-count grid (0 = the identity/static point).
 DEFAULT_FLAP_COUNTS: Tuple[int, ...] = (0, 1, 2, 3, 4)
-SMOKE_FLAP_COUNTS: Tuple[int, ...] = (0, 1, 3)
+
+#: The reduced CI grid (``service --smoke``): :func:`service_sweep_spec`
+#: arguments.  Part of the compatibility surface: CI diffs its output
+#: against ``GOLDEN_service.json``.
+SMOKE_GRID: Dict[str, Any] = dict(flap_counts=(0, 1, 3))
 
 #: Admission limits used for the faulted runs: generous enough that
 #: this workload never hits them (the study measures topology churn,
@@ -139,23 +140,13 @@ def run_service_point(
         collapse_alpha=collapse_alpha,
         completion_quantum=completion_quantum,
     )
-    topo = spec.build_topology()
-    setup_desc = next(generate_setups(
-        n_setups=1, jobs_per_setup=jobs_per_setup, seed=seed,
-        max_instances=len(topo.servers),
-    ))
-    arrival_rng = random.Random(seed + 1)
-    start_times: List[float] = []
-    t = 0.0
-    for _ in setup_desc.jobs:
-        start_times.append(t)
-        t += arrival_rng.expovariate(1.0 / mean_gap)
-    jobs = setup_desc.materialize(topo.servers, random.Random(seed + 2),
-                                  GBPS_56)
+    jobs, start_times = staggered_corun(
+        spec.build_topology().servers, jobs_per_setup, mean_gap, seed
+    )
 
     if mode == "harness":
         results = build_scenario(spec, table=table).run(
-            jobs, start_times=list(start_times)
+            jobs, start_times=start_times
         )
         return {
             "times": {j: r.completion_time for j, r in results.items()},
@@ -202,7 +193,7 @@ def run_service_point(
         executor.fabric.sim.schedule_at(
             last_recovery(plan) + 0.5, run_probe
         )
-    results = executor.run(jobs, start_times=list(start_times))
+    results = executor.run(jobs, start_times=start_times)
     counters: Dict[str, float] = {
         "admitted": float(service.admitted),
         "rejected": float(service.rejected),
@@ -351,40 +342,4 @@ def service_sweep_spec(
             "collapse_alpha": collapse_alpha,
             "completion_quantum": completion_quantum,
         },
-    )
-
-
-def run_service(
-    flap_counts: Sequence[int] = DEFAULT_FLAP_COUNTS,
-    seed: int = 7,
-    jobs_per_setup: int = 6,
-    mean_gap: float = 3.0,
-    collapse_alpha: float = DEFAULT_COLLAPSE_ALPHA,
-    table: Optional[SensitivityTable] = None,
-    completion_quantum: float = EXPERIMENT_QUANTUM,
-    runner: Optional[SweepRunner] = None,
-) -> ServiceResult:
-    """Run the full flap-count grid; see module docstring."""
-    runner = runner if runner is not None else default_runner()
-    spec = service_sweep_spec(
-        flap_counts=flap_counts, seed=seed,
-        jobs_per_setup=jobs_per_setup, mean_gap=mean_gap,
-        collapse_alpha=collapse_alpha, table=table,
-        completion_quantum=completion_quantum,
-    )
-    return runner.run(spec).value
-
-
-def run_service_smoke(
-    seed: int = 7,
-    runner: Optional[SweepRunner] = None,
-) -> ServiceResult:
-    """Reduced grid for CI.
-
-    Fixed parameters by design -- the CI job diffs ``to_json()``
-    against ``GOLDEN_service.json``, so this configuration is part of
-    the repo's compatibility surface.
-    """
-    return run_service(
-        flap_counts=SMOKE_FLAP_COUNTS, seed=seed, runner=runner,
     )

@@ -7,8 +7,9 @@ parametric -- ``spine_leaf()`` defaults reproduce the full topology,
 while benchmarks run a proportionally scaled-down fabric with the same
 three-tier shape.
 
-* :func:`run_fig10` -- speedup of Saba, ideal max-min, Homa, and
-  Sincronia over the InfiniBand baseline (studies 4-6).
+* :func:`fig10_sweep_spec` -- speedup of Saba, ideal max-min, Homa,
+  and Sincronia over the InfiniBand baseline (studies 4-6), as a
+  sweep (``runner.run(spec).value``; the ``fig10`` registry entry).
 * :func:`run_fig11a` -- centralized vs distributed controller
   (study 7).
 * :func:`run_fig11b` -- number of per-port queues in
@@ -33,7 +34,7 @@ from repro.experiments.common import (
     make_policy,
 )
 from repro.simnet.topology import Topology, spine_leaf
-from repro.sweep import SweepRunner, SweepSpec, Task, default_runner
+from repro.sweep import SweepSpec, Task
 from repro.workloads.model import ApplicationSpec
 from repro.workloads.synthetic import synthetic_workloads
 
@@ -44,6 +45,10 @@ from repro.workloads.synthetic import synthetic_workloads
 #: full scale), and ~1 flow per application per contended port.  Pass
 #: the paper's values for a full-scale run.
 DEFAULT_TOPOLOGY = dict(n_spine=8, n_leaf=8, n_tor=8, servers_per_tor=10)
+
+#: The paper's full-scale fabric: 54 spine, 102 leaf and 108 ToR
+#: switches with 18 servers per ToR (1,944 servers, §8.1).
+PAPER_TOPOLOGY = dict(n_spine=54, n_leaf=102, n_tor=108, servers_per_tor=18)
 
 #: Congestion-control loss used in the *simulation* studies.  The
 #: paper's OMNeT++ InfiniBand model keeps its baseline within 1.14x of
@@ -201,14 +206,25 @@ def fig10_sweep_spec(
     The baseline is a task like any other, so all five simulator runs
     proceed in parallel; the reduction divides per-job completion
     times to produce the speedup table.
+
+    The paper's simulator models InfiniBand end to end, so every
+    priority-based policy (Saba, Homa, Sincronia) runs on the same
+    congestion-controlled transport as the baseline; the congestion-
+    control loss applies per queue/class.  Ideal max-min is the
+    explicit upper bound and stays loss-free (per-flow round-robin
+    queues).  Unknown policy names are rejected here, before the
+    synthetic workloads are profiled or any simulator runs.
     """
+    policies = tuple(policies)
+    for name in policies:
+        make_policy(name, table=SensitivityTable(),
+                    collapse_alpha=collapse_alpha)
     if table is None:
         _, _, specs = build_simulation(
             n_workloads=n_workloads, topology_kwargs=topology_kwargs,
             seed=seed,
         )
         table = profile_synthetic(specs)
-    policies = tuple(policies)
     common = {
         "table": table,
         "collapse_alpha": collapse_alpha,
@@ -245,40 +261,6 @@ def fig10_sweep_spec(
             "completion_quantum": completion_quantum,
         },
     )
-
-
-def run_fig10(
-    policies: Sequence[str] = ("saba", "ideal-maxmin", "homa", "sincronia"),
-    collapse_alpha: float = SIM_COLLAPSE_ALPHA,
-    table: Optional[SensitivityTable] = None,
-    seed: int = 11,
-    topology_kwargs: Optional[dict] = None,
-    n_workloads: int = 20,
-    completion_quantum: float = EXPERIMENT_QUANTUM,
-    runner: Optional[SweepRunner] = None,
-) -> Fig10Result:
-    """Speedup of each policy over the InfiniBand baseline (Figure 10).
-
-    The paper's simulator models InfiniBand end to end, so every
-    priority-based policy (Saba, Homa, Sincronia) runs on the same
-    congestion-controlled transport as the baseline; the congestion-
-    control loss applies per queue/class.  Ideal max-min is the
-    explicit upper bound and stays loss-free (per-flow round-robin
-    queues).
-
-    Validation of unknown policy names happens eagerly here (before
-    any simulator run), then the per-policy runs execute as a sweep.
-    """
-    for name in policies:
-        make_policy(name, table=SensitivityTable(),
-                    collapse_alpha=collapse_alpha)
-    runner = runner if runner is not None else default_runner()
-    spec = fig10_sweep_spec(
-        policies=policies, collapse_alpha=collapse_alpha, table=table,
-        seed=seed, topology_kwargs=topology_kwargs,
-        n_workloads=n_workloads, completion_quantum=completion_quantum,
-    )
-    return runner.run(spec).value
 
 
 def run_fig11a(

@@ -1,28 +1,31 @@
 """Figures 5 and 6: sensitivity-model accuracy (Section 4.2).
 
-* :func:`run_fig5` -- profiling samples plus fitted models of degree
-  1..3 for SQL and LR (the paper's contrast between a non-linear and a
-  near-linear workload).
-* :func:`run_fig6a` -- R^2 of each workload's model vs polynomial
-  degree (goodness of fit).
+* :func:`fig5_sweep_spec` -- profiling samples plus fitted models of
+  degree 1..3 for SQL and LR (the paper's contrast between a
+  non-linear and a near-linear workload).
+* :func:`fig6a_sweep_spec` -- R^2 of each workload's model vs
+  polynomial degree (goodness of fit).
 * :func:`run_fig6b` -- *predictive* R^2 when the runtime dataset size
   differs from the profiled one (0.1x / 1x / 10x).
 * :func:`run_fig6c` -- predictive R^2 across runtime node counts
   (0.5x .. 4x of the 8-node profiling pod).
 
-Predictive R^2 follows the paper's method: the model is fitted at the
-reference configuration (1x dataset, 8 nodes, k as given) and scored
-against slowdown samples *measured* at the runtime configuration.
+The two sweep specs run through a :class:`~repro.sweep.SweepRunner`
+(``runner.run(spec).value``) and back the ``fig5``/``fig6a`` entries
+of :mod:`repro.sweep.registry`.  Predictive R^2 follows the paper's
+method: the model is fitted at the reference configuration (1x
+dataset, 8 nodes, k as given) and scored against slowdown samples
+*measured* at the runtime configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.profiler import OfflineProfiler
 from repro.core.sensitivity import SensitivityModel, fit_sensitivity_model, r_squared
-from repro.sweep import SweepRunner, SweepSpec, default_runner
+from repro.sweep import SweepSpec
 from repro.workloads.catalog import CATALOG, PROFILER_NODES
 
 DATASET_SCALES = (0.1, 1.0, 10.0)
@@ -96,17 +99,6 @@ def fig5_sweep_spec(
     )
 
 
-def run_fig5(
-    workloads: Sequence[str] = ("SQL", "LR"),
-    degrees: Sequence[int] = (1, 2, 3),
-    method: str = "analytic",
-    runner: Optional[SweepRunner] = None,
-) -> Dict[str, Fig5Panel]:
-    """Samples and fitted models for the Figure 5 panels."""
-    runner = runner if runner is not None else default_runner()
-    return runner.run(fig5_sweep_spec(workloads, degrees, method)).value
-
-
 def fig6a_sweep_spec(
     degrees: Sequence[int] = (1, 2, 3),
     method: str = "analytic",
@@ -136,16 +128,6 @@ def fig6a_sweep_spec(
         reduce=reduce_to_scores,
         config={"degrees": list(degrees), "method": method},
     )
-
-
-def run_fig6a(
-    degrees: Sequence[int] = (1, 2, 3),
-    method: str = "analytic",
-    runner: Optional[SweepRunner] = None,
-) -> Dict[str, Dict[int, float]]:
-    """R^2 per workload per polynomial degree (Figure 6a)."""
-    runner = runner if runner is not None else default_runner()
-    return runner.run(fig6a_sweep_spec(degrees, method)).value
 
 
 def _predictive_r2(

@@ -26,7 +26,7 @@ from repro.experiments.common import (
     build_scenario,
     geomean,
 )
-from repro.sweep import SweepRunner, SweepSpec, Task, default_runner
+from repro.sweep import SweepSpec, Task
 from repro.units import GBPS_56
 from repro.workloads.catalog import CATALOG
 
@@ -153,24 +153,3 @@ def fig8_sweep_spec(
             "completion_quantum": completion_quantum,
         },
     )
-
-
-def run_fig8(
-    n_setups: int = 500,
-    jobs_per_setup: int = 16,
-    n_servers: int = 32,
-    seed: int = 2023,
-    collapse_alpha: float = DEFAULT_COLLAPSE_ALPHA,
-    table: Optional[SensitivityTable] = None,
-    degree: int = 3,
-    completion_quantum: float = EXPERIMENT_QUANTUM,
-    runner: Optional[SweepRunner] = None,
-) -> Fig8Result:
-    """The full Figure 8 experiment."""
-    runner = runner if runner is not None else default_runner()
-    spec = fig8_sweep_spec(
-        n_setups=n_setups, jobs_per_setup=jobs_per_setup,
-        n_servers=n_servers, seed=seed, collapse_alpha=collapse_alpha,
-        table=table, degree=degree, completion_quantum=completion_quantum,
-    )
-    return runner.run(spec).value

@@ -61,13 +61,15 @@ def _quick_runners() -> List[tuple]:
     from repro.experiments.fig1 import run_fig1a, run_fig1b
     from repro.experiments.fig2 import run_fig2
     from repro.experiments.fig5_fig6 import (
-        run_fig5, run_fig6a, run_fig6b, run_fig6c,
+        fig5_sweep_spec, fig6a_sweep_spec, run_fig6b, run_fig6c,
     )
+    from repro.sweep import default_runner
 
     def fig5_payload():
+        panels = default_runner().run(fig5_sweep_spec()).value
         return {
             name: {"r2": panel.r2, "samples": list(panel.samples)}
-            for name, panel in run_fig5().items()
+            for name, panel in panels.items()
         }
 
     def fig2_payload():
@@ -85,22 +87,24 @@ def _quick_runners() -> List[tuple]:
         ("fig1b", lambda: asdict(run_fig1b()), {}),
         ("fig2", fig2_payload, {}),
         ("fig5", fig5_payload, {}),
-        ("fig6a", run_fig6a, {}),
+        ("fig6a", lambda: default_runner().run(fig6a_sweep_spec()).value,
+         {}),
         ("fig6b", run_fig6b, {}),
         ("fig6c", run_fig6c, {}),
     ]
 
 
 def _heavy_runners() -> List[tuple]:
-    from repro.experiments.fig8 import run_fig8
+    from repro.experiments.fig8 import fig8_sweep_spec
     from repro.experiments.fig9 import run_fig9a, run_fig9b, run_fig9c
     from repro.experiments.fig10_fig11 import (
-        run_fig10, run_fig11a, run_fig11b,
+        fig10_sweep_spec, run_fig11a, run_fig11b,
     )
     from repro.experiments.fig12 import run_fig12
+    from repro.sweep import default_runner
 
     def fig8_payload():
-        result = run_fig8(n_setups=4)
+        result = default_runner().run(fig8_sweep_spec(n_setups=4)).value
         return {
             "per_workload_speedup": result.per_workload_speedup,
             "average_speedup": result.average_speedup,
@@ -108,7 +112,7 @@ def _heavy_runners() -> List[tuple]:
         }
 
     def fig10_payload():
-        result = run_fig10()
+        result = default_runner().run(fig10_sweep_spec()).value
         return {
             "speedups": result.speedups,
             "averages": {p: result.average(p) for p in result.speedups},

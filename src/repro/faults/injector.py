@@ -241,15 +241,6 @@ class FaultInjector:
             raise FaultError(f"no link_down spec for {link_id!r}")
         return timeline.explicit
 
-    def link_window_at(
-        self, link_id: str, t: Optional[float] = None,
-    ) -> Optional[Tuple[float, float]]:
-        """The down window covering ``t`` (default: now), if any."""
-        timeline = self._links.get(link_id)
-        if timeline is None:
-            return None
-        return timeline.window_at(self.now if t is None else t)
-
     def next_link_window(
         self, link_id: str, after: float,
     ) -> Optional[Tuple[float, float]]:

@@ -24,7 +24,6 @@ from repro.simnet.fairness import (
     network_rates,
 )
 from repro.simnet.fabric import FluidFabric
-from repro.simnet.ratelimit import TokenBucket
 from repro.simnet.telemetry import UtilizationRecorder
 from repro.simnet.packetsim import (
     DeficitRoundRobin,
@@ -58,7 +57,6 @@ __all__ = [
     "max_min_rates",
     "network_rates",
     "FluidFabric",
-    "TokenBucket",
     "UtilizationRecorder",
     "DeficitRoundRobin",
     "PortSimulator",

@@ -784,13 +784,6 @@ class FluidFabric:
                 flows=self._incidence.count(lid),
             )
 
-    def queue_occupancy(self, link_id: str) -> Dict[int, int]:
-        """Active flows per queue at ``link_id``'s output port."""
-        qtable = self.topology.port_table(link_id)
-        return qtable.occupancy(
-            flow.pl for flow in self._incidence.flows_on(link_id)
-        )
-
     # -- read-only hooks for external checkers (repro.storm) ------------------
 
     def link_members(self, link_id: str) -> List[Flow]:

@@ -108,14 +108,6 @@ class QueueTable:
             "generation": self.generation,
         }
 
-    def occupancy(self, pls: Iterable[Optional[int]]) -> Dict[int, int]:
-        """Flows-per-queue histogram for the given priority levels."""
-        counts: Dict[int, int] = {}
-        for pl in pls:
-            queue = self.queue_of(pl)
-            counts[queue] = counts.get(queue, 0) + 1
-        return counts
-
 
 @dataclass
 class OutputPort:

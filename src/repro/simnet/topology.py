@@ -175,12 +175,6 @@ class Topology:
             return self.links[f"{server}->{dst}"]
         raise TopologyError(f"server {server!r} has no egress link")
 
-    def all_port_link_ids(self) -> Iterable[str]:
-        """Link ids of every switch-driven output port."""
-        return [
-            lid for lid in self.links if self.links[lid].src in self.switches
-        ]
-
     def set_uniform_throttle(self, servers: Iterable[str], fraction: float) -> None:
         """Throttle the NIC links (both directions) of ``servers``.
 

@@ -1,8 +1,11 @@
-"""Named sweep experiments for ``python -m repro sweep <name>``.
+"""The sweep-backed experiments: one definition each.
 
-Each entry pairs a *spec builder* (experiment parameters -> a
-:class:`~repro.sweep.task.SweepSpec`) with a *renderer* (the reduced
-value -> deterministic text).  Renderers must be order-stable so two
+``python -m repro <name>`` (fig5, fig8, fig10, faults, online,
+service) and ``python -m repro sweep <name>`` both run the entry
+named here.  Each entry pairs a *spec builder* (options -> the
+experiment module's :class:`~repro.sweep.task.SweepSpec`) with a
+*renderer* (the reduced value -> deterministic text) and the *checks*
+the CLI exits non-zero on.  Renderers must be order-stable so two
 runs of the same experiment -- or a serial and a parallel run -- can
 be compared with a plain ``diff``; that is how the bit-identity
 acceptance check works from the command line.
@@ -11,45 +14,57 @@ acceptance check works from the command line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
 
 from repro.errors import SweepError
 from repro.sweep.task import SweepSpec
 
+#: ``(ok, message)`` pairs; the CLI exits with the first failing message.
+Checks = Sequence[Tuple[bool, str]]
+
+
+def _no_checks(value: Any) -> Checks:
+    return ()
+
 
 @dataclass(frozen=True)
 class Experiment:
-    """One runnable sweep: how to build its spec and print its value.
+    """One runnable sweep: its spec, its printout, its exit checks.
 
-    ``build`` receives the CLI's experiment options (a plain mapping;
-    missing keys mean "use the harness default") and returns the spec.
-    ``defaults`` documents which options the builder reads.
+    ``defaults`` names every option the spec builder reads -- each one
+    the ``dest`` of a CLI flag -- with the value it takes when unset.
     """
 
     name: str
     help: str
-    build: Callable[[Mapping[str, Any]], SweepSpec]
+    make_spec: Callable[[Dict[str, Any]], SweepSpec]
     render: Callable[[Any], str]
     defaults: Dict[str, Any] = field(default_factory=dict)
+    checks: Callable[[Any], Checks] = _no_checks
 
-
-def _opt(options: Mapping[str, Any], key: str, fallback: Any) -> Any:
-    value = options.get(key)
-    return fallback if value is None else value
+    def build(self, options: Mapping[str, Any]) -> SweepSpec:
+        """The spec for ``options``: ``defaults`` overlaid with each
+        set (non-``None``) value whose key ``defaults`` names, so the
+        parsed CLI arguments (``vars(args)``) pass straight through."""
+        merged = dict(self.defaults)
+        merged.update(
+            (key, value) for key, value in options.items()
+            if key in merged and value is not None
+        )
+        return self.make_spec(merged)
 
 
 # -- profile-catalog --------------------------------------------------------
 
 
-def _build_profile_catalog(options: Mapping[str, Any]) -> SweepSpec:
+def _build_profile_catalog(options: Dict[str, Any]) -> SweepSpec:
     from repro.core.profiler import OfflineProfiler
     from repro.workloads.catalog import CATALOG
 
     profiler = OfflineProfiler(
-        degree=int(_opt(options, "degree", 3)),
-        method=_opt(options, "method", "simulate"),
+        degree=options["degree"], method=options["method"],
     )
-    names = _opt(options, "workloads", list(CATALOG))
+    names = options["workloads"] or list(CATALOG)
     try:
         templates = [CATALOG[n] for n in names]
     except KeyError as exc:
@@ -57,10 +72,7 @@ def _build_profile_catalog(options: Mapping[str, Any]) -> SweepSpec:
             f"unknown workload {exc.args[0]!r}; catalog has "
             f"{', '.join(CATALOG)}"
         )
-    nodes = options.get("nodes")
-    return profiler.sweep_spec(
-        templates, n_instances=int(nodes) if nodes is not None else None
-    )
+    return profiler.sweep_spec(templates, n_instances=options["nodes"])
 
 
 def _render_table(table: Any) -> str:
@@ -73,12 +85,11 @@ def _render_table(table: Any) -> str:
 # -- fig5 / fig6a -----------------------------------------------------------
 
 
-def _build_fig5(options: Mapping[str, Any]) -> SweepSpec:
+def _build_fig5(options: Dict[str, Any]) -> SweepSpec:
     from repro.experiments.fig5_fig6 import fig5_sweep_spec
 
     return fig5_sweep_spec(
-        workloads=tuple(_opt(options, "workloads", ("SQL", "LR"))),
-        method=_opt(options, "method", "analytic"),
+        workloads=tuple(options["workloads"]), method=options["method"],
     )
 
 
@@ -93,10 +104,10 @@ def _render_fig5(panels: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _build_fig6a(options: Mapping[str, Any]) -> SweepSpec:
+def _build_fig6a(options: Dict[str, Any]) -> SweepSpec:
     from repro.experiments.fig5_fig6 import fig6a_sweep_spec
 
-    return fig6a_sweep_spec(method=_opt(options, "method", "analytic"))
+    return fig6a_sweep_spec(method=options["method"])
 
 
 def _render_fig6a(scores: Dict[str, Dict[int, float]]) -> str:
@@ -111,10 +122,10 @@ def _render_fig6a(scores: Dict[str, Dict[int, float]]) -> str:
 # -- fig8 -------------------------------------------------------------------
 
 
-def _build_fig8(options: Mapping[str, Any]) -> SweepSpec:
+def _build_fig8(options: Dict[str, Any]) -> SweepSpec:
     from repro.experiments.fig8 import fig8_sweep_spec
 
-    return fig8_sweep_spec(n_setups=int(_opt(options, "setups", 50)))
+    return fig8_sweep_spec(n_setups=options["setups"])
 
 
 def _render_fig8(result: Any) -> str:
@@ -132,25 +143,25 @@ def _render_fig8(result: Any) -> str:
 # -- faults -----------------------------------------------------------------
 
 
-def _build_faults(options: Mapping[str, Any]) -> SweepSpec:
+def _build_faults(options: Dict[str, Any]) -> SweepSpec:
     from repro.experiments.extension_faults import (
         DEFAULT_MTBFS,
-        SMOKE_MTBFS,
+        SERIES,
+        SMOKE_GRID,
         faults_sweep_spec,
     )
 
-    if bool(_opt(options, "smoke", False)):
-        return faults_sweep_spec(
-            mtbfs=SMOKE_MTBFS, mttr=5.0,
-            seed=int(_opt(options, "seed", 7)),
-            jobs_per_setup=6, n_servers=16, mean_gap=3.0,
-        )
-    mtbfs = _opt(options, "mtbfs", DEFAULT_MTBFS)
+    if options["smoke"]:
+        return faults_sweep_spec(seed=options["seed"], **SMOKE_GRID)
+    mtbf = options["mtbf"]
     return faults_sweep_spec(
-        mtbfs=tuple(mtbfs),
-        mttr=float(_opt(options, "mttr", 6.0)),
-        seed=int(_opt(options, "seed", 7)),
-        series=tuple(_opt(options, "series", ("saba", "saba-failover"))),
+        # An MTBF <= 0 on the command line means "no faults".
+        mtbfs=DEFAULT_MTBFS if mtbf is None else tuple(
+            None if m <= 0 else m for m in mtbf
+        ),
+        mttr=options["mttr"],
+        seed=options["seed"],
+        series=("saba",) if options["no_failover"] else SERIES,
     )
 
 
@@ -176,18 +187,15 @@ def _render_faults(result: Any) -> str:
 # -- online -----------------------------------------------------------------
 
 
-def _build_online(options: Mapping[str, Any]) -> SweepSpec:
+def _build_online(options: Dict[str, Any]) -> SweepSpec:
     from repro.experiments.extension_online import (
-        DEFAULT_WAVES,
+        SMOKE_GRID,
         online_sweep_spec,
     )
 
-    if bool(_opt(options, "smoke", False)):
-        return online_sweep_spec(seed=int(_opt(options, "seed", 7)))
-    return online_sweep_spec(
-        seed=int(_opt(options, "seed", 7)),
-        waves=int(_opt(options, "waves", DEFAULT_WAVES)),
-    )
+    if options["smoke"]:
+        return online_sweep_spec(seed=options["seed"], **SMOKE_GRID)
+    return online_sweep_spec(seed=options["seed"], waves=options["waves"])
 
 
 def _render_online(result: Any) -> str:
@@ -218,21 +226,18 @@ def _render_online(result: Any) -> str:
 # -- service ----------------------------------------------------------------
 
 
-def _build_service(options: Mapping[str, Any]) -> SweepSpec:
+def _build_service(options: Dict[str, Any]) -> SweepSpec:
     from repro.experiments.extension_service import (
         DEFAULT_FLAP_COUNTS,
-        SMOKE_FLAP_COUNTS,
+        SMOKE_GRID,
         service_sweep_spec,
     )
 
-    if bool(_opt(options, "smoke", False)):
-        return service_sweep_spec(
-            flap_counts=SMOKE_FLAP_COUNTS,
-            seed=int(_opt(options, "seed", 7)),
-        )
+    if options["smoke"]:
+        return service_sweep_spec(seed=options["seed"], **SMOKE_GRID)
     return service_sweep_spec(
-        flap_counts=tuple(_opt(options, "flaps", DEFAULT_FLAP_COUNTS)),
-        seed=int(_opt(options, "seed", 7)),
+        flap_counts=options["flaps"] or DEFAULT_FLAP_COUNTS,
+        seed=options["seed"],
     )
 
 
@@ -255,13 +260,25 @@ def _render_service(result: Any) -> str:
     return "\n".join(lines)
 
 
+def _check_service(result: Any) -> Checks:
+    return (
+        (result.identical,
+         "zero-fault service run diverged from the static harness"),
+        (all(p.recovered for p in result.points),
+         "flows were left off their canonical paths after the last "
+         "recovery"),
+    )
+
+
 # -- fig10 ------------------------------------------------------------------
 
 
-def _build_fig10(options: Mapping[str, Any]) -> SweepSpec:
-    from repro.experiments.fig10_fig11 import fig10_sweep_spec
+def _build_fig10(options: Dict[str, Any]) -> SweepSpec:
+    from repro.experiments.fig10_fig11 import PAPER_TOPOLOGY, fig10_sweep_spec
 
-    return fig10_sweep_spec()
+    return fig10_sweep_spec(
+        topology_kwargs=PAPER_TOPOLOGY if options["full_scale"] else None,
+    )
 
 
 def _render_fig10(result: Any) -> str:
@@ -283,7 +300,7 @@ REGISTRY: Dict[str, Experiment] = {
             name="profile-catalog",
             help="profile the Table-1 workload catalog into a "
                  "sensitivity table",
-            build=_build_profile_catalog,
+            make_spec=_build_profile_catalog,
             render=_render_table,
             defaults={"degree": 3, "method": "simulate",
                       "workloads": None, "nodes": None},
@@ -291,14 +308,14 @@ REGISTRY: Dict[str, Experiment] = {
         Experiment(
             name="fig5",
             help="sensitivity-model fits for SQL and LR (Figure 5)",
-            build=_build_fig5,
+            make_spec=_build_fig5,
             render=_render_fig5,
             defaults={"workloads": ("SQL", "LR"), "method": "analytic"},
         ),
         Experiment(
             name="fig6a",
             help="R^2 per workload per polynomial degree (Figure 6a)",
-            build=_build_fig6a,
+            make_spec=_build_fig6a,
             render=_render_fig6a,
             defaults={"method": "analytic"},
         ),
@@ -306,41 +323,43 @@ REGISTRY: Dict[str, Experiment] = {
             name="fig8",
             help="randomized testbed setups, Saba vs baseline "
                  "(Figure 8)",
-            build=_build_fig8,
+            make_spec=_build_fig8,
             render=_render_fig8,
-            defaults={"setups": 50},
+            defaults={"setups": 10},
         ),
         Experiment(
             name="fig10",
             help="policy comparison on the simulated fabric "
                  "(Figure 10)",
-            build=_build_fig10,
+            make_spec=_build_fig10,
             render=_render_fig10,
+            defaults={"full_scale": False},
         ),
         Experiment(
             name="faults",
             help="controller fault injection: speedup vs downtime "
                  "(extension study)",
-            build=_build_faults,
+            make_spec=_build_faults,
             render=_render_faults,
-            defaults={"smoke": False, "mtbfs": None, "mttr": 6.0,
-                      "seed": 7, "series": None},
+            defaults={"smoke": False, "mtbf": None, "mttr": 6.0,
+                      "seed": 7, "no_failover": False},
         ),
         Experiment(
             name="service",
             help="allocation service under link flaps: identity, "
                  "availability, recovery (extension study)",
-            build=_build_service,
+            make_spec=_build_service,
             render=_render_service,
             defaults={"smoke": False, "flaps": None, "seed": 7},
+            checks=_check_service,
         ),
         Experiment(
             name="online",
             help="cold-start online sensitivity estimation vs offline "
                  "profiling (extension study)",
-            build=_build_online,
+            make_spec=_build_online,
             render=_render_online,
-            defaults={"smoke": False, "seed": 7, "waves": None},
+            defaults={"smoke": False, "seed": 7, "waves": 3},
         ),
     )
 }

@@ -23,12 +23,6 @@ from repro.workloads.catalog import (
     get_template,
 )
 from repro.workloads.synthetic import synthetic_workloads
-from repro.workloads.source import (
-    WorkloadSource,
-    CatalogSource,
-    SyntheticSource,
-    build_all,
-)
 
 __all__ = [
     "Stage",
@@ -38,8 +32,4 @@ __all__ = [
     "workload_names",
     "get_template",
     "synthetic_workloads",
-    "WorkloadSource",
-    "CatalogSource",
-    "SyntheticSource",
-    "build_all",
 ]

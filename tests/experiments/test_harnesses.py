@@ -16,16 +16,17 @@ from repro.experiments.common import (
 )
 from repro.experiments.fig1 import run_fig1a, run_fig1b
 from repro.experiments.fig2 import run_timeline
-from repro.experiments.fig5_fig6 import run_fig5, run_fig6a
-from repro.experiments.fig8 import run_fig8
+from repro.experiments.fig5_fig6 import fig5_sweep_spec, fig6a_sweep_spec
+from repro.experiments.fig8 import fig8_sweep_spec
 from repro.experiments.fig9 import run_fig9c
 from repro.experiments.fig10_fig11 import (
     build_simulation,
+    fig10_sweep_spec,
     profile_synthetic,
-    run_fig10,
     run_fig11a,
 )
 from repro.experiments.fig12 import run_scenario
+from repro.sweep import default_runner
 from repro.workloads.catalog import CATALOG
 
 TINY_TOPO = dict(n_spine=2, n_leaf=3, n_tor=4, servers_per_tor=4)
@@ -124,19 +125,21 @@ def test_fig2_smoke():
 
 
 def test_fig5_smoke():
-    panels = run_fig5(workloads=("LR",), degrees=(1, 2))
+    panels = default_runner().run(
+        fig5_sweep_spec(workloads=("LR",), degrees=(1, 2))
+    ).value
     assert set(panels["LR"].models) == {1, 2}
 
 
 def test_fig6a_smoke():
-    scores = run_fig6a(degrees=(1,))
+    scores = default_runner().run(fig6a_sweep_spec(degrees=(1,))).value
     assert all(0.0 <= s[1] <= 1.0 for s in scores.values())
 
 
 def test_fig8_smoke(catalog_table):
-    result = run_fig8(
+    result = default_runner().run(fig8_sweep_spec(
         n_setups=1, jobs_per_setup=4, n_servers=8, table=catalog_table
-    )
+    )).value
     assert len(result.setup_averages) == 1
     assert result.average_speedup > 0
     cdf = result.cdf()
@@ -150,11 +153,11 @@ def test_fig9c_smoke():
 
 
 def test_fig10_smoke():
-    result = run_fig10(
+    result = default_runner().run(fig10_sweep_spec(
         policies=("saba", "homa"),
         topology_kwargs=TINY_TOPO,
         n_workloads=6,
-    )
+    )).value
     assert set(result.speedups) == {"saba", "homa"}
     assert result.average("saba") > 0
 

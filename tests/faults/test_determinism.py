@@ -5,18 +5,17 @@ the same configuration must serialise to the same JSON, fault
 injection included.
 """
 
-from repro.experiments.extension_faults import run_faults
+from repro.experiments.extension_faults import faults_sweep_spec
 from repro.sweep import SweepRunner
 
 
 def _run(catalog_table, seed):
     # cache=None: every task recomputes, so equality is determinism,
     # not a cache hit.
-    return run_faults(
+    return SweepRunner(jobs=1, cache=None).run(faults_sweep_spec(
         mtbfs=(None, 12.0), mttr=4.0, seed=seed, jobs_per_setup=4,
         n_servers=8, mean_gap=3.0, table=catalog_table,
-        runner=SweepRunner(jobs=1, cache=None),
-    )
+    )).value
 
 
 def test_same_seed_identical_json(catalog_table):

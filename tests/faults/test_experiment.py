@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.experiments.extension_faults import (
-    run_faults,
+    faults_sweep_spec,
     run_faults_point,
 )
 from repro.sweep import SweepRunner
@@ -13,11 +13,10 @@ from repro.sweep import SweepRunner
 
 @pytest.fixture(scope="module")
 def faults_result(catalog_table):
-    return run_faults(
+    return SweepRunner(jobs=1, cache=None).run(faults_sweep_spec(
         mtbfs=(None, 40.0, 8.0), mttr=5.0, seed=7, jobs_per_setup=6,
         n_servers=16, mean_gap=3.0, table=catalog_table,
-        runner=SweepRunner(jobs=1, cache=None),
-    )
+    )).value
 
 
 def test_saba_beats_baseline_without_faults(faults_result):

@@ -16,9 +16,10 @@ from repro.online import (
     OnlineSensitivityEstimator,
 )
 from repro.experiments.common import make_policy
-from repro.experiments.extension_online import run_online_smoke
+from repro.experiments.extension_online import SMOKE_GRID, online_sweep_spec
 from repro.simnet.fabric import FluidFabric
 from repro.simnet.topology import single_switch
+from repro.sweep import default_runner
 
 from .test_estimator import feed_curve
 
@@ -115,7 +116,7 @@ class TestMakePolicy:
 
 @pytest.fixture(scope="module")
 def smoke():
-    return run_online_smoke()
+    return default_runner().run(online_sweep_spec(**SMOKE_GRID)).value
 
 
 class TestExperiment:

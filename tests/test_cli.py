@@ -1,10 +1,11 @@
 """In-process tests of the CLI argument handling (light commands)."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.__main__ import COMMANDS, main
+from repro.__main__ import COMMANDS, build_parser, main
 
 
 def test_list_returns_zero(capsys):
@@ -28,6 +29,36 @@ def test_fig1a_command(capsys):
 def test_fig5_command(capsys):
     assert main(["fig5"]) == 0
     assert "R2" in capsys.readouterr().out
+
+
+def test_fig5_and_sweep_fig5_print_the_same(capsys):
+    # One registry entry behind both commands: same rows, same order,
+    # same precision.
+    assert main(["fig5"]) == 0
+    direct = capsys.readouterr().out
+    assert main(["sweep", "fig5", "--quiet"]) == 0
+    assert capsys.readouterr().out == direct
+
+
+def test_every_registry_option_is_a_flag():
+    """Each option a registry entry reads is the dest of a flag of the
+    command that runs it: ``sweep`` or the entry's own command."""
+    from repro.sweep.registry import REGISTRY
+
+    commands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+
+    def dests(command):
+        parser = commands.get(command)
+        return set() if parser is None else {
+            action.dest for action in parser._actions
+        }
+
+    for name, entry in REGISTRY.items():
+        unreachable = set(entry.defaults) - dests("sweep") - dests(name)
+        assert not unreachable, f"{name}: no flag sets {unreachable}"
 
 
 def test_report_command(tmp_path, capsys):
