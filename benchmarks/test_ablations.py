@@ -3,8 +3,9 @@
 Not part of the paper's evaluation; these quantify the impact of this
 implementation's own knobs:
 
-* Eq. 2 solver: SLSQP (the paper's choice) vs the KKT water-filling
-  fast path vs projected gradient -- solution quality and speed.
+* Eq. 2 solver: SLSQP (the paper's choice) vs KKT water-filling, the
+  two methods ``optimize_weights`` dispatches to -- solution quality
+  and speed.
 * Congestion-collapse severity (the InfiniBand baseline's alpha).
 * Shuffle fan-out of the workload model.
 """
@@ -13,7 +14,7 @@ import time
 
 import pytest
 
-from repro.core.allocation import AllocationProblem, optimize_weights
+from repro.core.allocation import AllocationProblem, _solve_kkt, _solve_slsqp
 from repro.core.profiler import OfflineProfiler
 from repro.experiments.common import geomean
 from repro.experiments.fig8 import fig8_sweep_spec
@@ -27,16 +28,16 @@ def models(catalog_table):
 
 
 def test_ablation_solver_quality(benchmark, models):
-    """All three solvers land within a whisker of the same objective."""
+    """Both solvers land within a whisker of the same objective."""
+    problem = AllocationProblem(models=tuple(models[:6]))
 
     def solve_all():
         return {
-            solver: optimize_weights(models[:6], solver=solver)
-            for solver in ("slsqp", "kkt", "projgrad")
+            "slsqp": _solve_slsqp(problem, {}),
+            "kkt": _solve_kkt(problem, {}),
         }
 
     results = benchmark(solve_all)
-    problem = AllocationProblem(models=tuple(models[:6]))
     objectives = {s: problem.objective(w) for s, w in results.items()}
     print("\nAblation: Eq. 2 solver objective values")
     for solver, val in objectives.items():
@@ -54,22 +55,22 @@ def test_ablation_solver_speed_at_scale(benchmark):
     table = synthetic_model_table(64, degree=3)
     pool = [table.get(n) for n in table.names()]
     models = [pool[i % len(pool)] for i in range(256)]
+    problem = AllocationProblem(models=tuple(models), min_weight=0.001)
 
     def kkt():
-        return optimize_weights(models, solver="kkt", min_weight=0.001)
+        return _solve_kkt(problem, {})
 
     weights = benchmark(kkt)
     assert sum(weights) == pytest.approx(1.0, abs=1e-5)
 
     t0 = time.perf_counter()
-    slsqp = optimize_weights(models, solver="slsqp", min_weight=0.001)
+    slsqp = _solve_slsqp(problem, {})
     slsqp_time = time.perf_counter() - t0
     t0 = time.perf_counter()
-    optimize_weights(models, solver="kkt", min_weight=0.001)
+    _solve_kkt(problem, {})
     kkt_time = time.perf_counter() - t0
     print(f"\nAblation: 256-app Eq. 2 -- kkt {kkt_time * 1e3:.1f} ms, "
           f"slsqp {slsqp_time * 1e3:.1f} ms")
-    problem = AllocationProblem(models=tuple(models), min_weight=0.001)
     assert problem.objective(weights) <= problem.objective(slsqp) * 1.05
 
 

@@ -18,7 +18,7 @@ create/destroy (Figure 7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Protocol, Sequence
+from typing import Callable, Dict, Optional, Protocol, Sequence
 
 from repro.errors import SimulationError
 from repro.obs.events import (
@@ -117,10 +117,10 @@ class PolicySetup:
     :class:`repro.online.sampler.StageSampler`; the harness must
     register its jobs with it and attach it to the run's observer).
 
-    Iteration yields ``(policy, connections_factory)`` so existing
-    two-element tuple unpacking keeps working during migration::
+    Executors consume a setup directly::
 
-        policy, factory = make_policy("saba", table)
+        setup = make_policy("saba", table)
+        results = CoRunExecutor(topology, policy=setup).run(jobs)
     """
 
     policy: Optional[FabricPolicy]
@@ -132,10 +132,6 @@ class PolicySetup:
     provider: Optional[object] = None
     estimator: Optional[object] = None
     sampler: Optional[object] = None
-
-    def __iter__(self) -> Iterator[object]:
-        yield self.policy
-        yield self.connections_factory
 
 
 class _JobExecution:

@@ -9,35 +9,39 @@ output port, find weights ``W = {w_1 .. w_n}``:
 where ``D_i`` are the fitted sensitivity models and ``C_saba`` is the
 link-capacity share reserved for Saba-compliant applications.
 
-Three solvers are provided:
+:func:`optimize_weights` is the one entry point.  It picks the method
+from the instance and reports it as ``stats["solver"]``:
 
-* ``"slsqp"`` -- scipy's Sequential Least Squares Programming, the same
-  algorithm the paper uses via NLopt (Section 7.2).  Handles arbitrary
-  (including non-convex) polynomial models.
-* ``"kkt"`` -- water-filling on the KKT conditions: when every model is
-  convex and decreasing, the optimum equalises marginal utilities,
-  ``D_i'(w_i) = -lambda`` with box clamping, so an outer bisection on
-  ``lambda`` plus inner bisections on each ``D_i'`` solves the problem
-  in ``O(n log^2)`` -- orders of magnitude faster than SLSQP at
-  datacenter port counts (the ablation benchmark quantifies this).
-* ``"projgrad"`` -- projected gradient descent onto the simplex; a
-  dependency-free fallback that also handles non-convex models
-  approximately.
+* ``"direct"`` -- one application gets the whole budget;
+* ``"equal"`` -- the floor uses the whole budget, so the equal split is
+  the only feasible point;
+* ``"kkt"`` -- every model is convex and decreasing on the feasible
+  box: water-filling on the KKT conditions.  The optimum equalises
+  marginal utilities, ``D_i'(w_i) = -lambda`` with box clamping, so an
+  outer root-find on ``lambda`` plus inner bisections on each ``D_i'``
+  (vectorised with numpy across all models) solves the problem;
+* ``"slsqp"`` -- otherwise scipy's Sequential Least Squares
+  Programming, the algorithm the paper uses via NLopt (Section 7.2),
+  which handles non-convex polynomial models.
 
-``"auto"`` picks ``kkt`` when legal, else ``slsqp``.
+A KKT solve is a near-constant number of numpy calls, ~10-20 ms
+whatever ``n``; SLSQP's cost grows with ``n`` and with its iteration
+count.  KKT is the faster one only on large ports.  On a 2-vCPU VM,
+with Figure 12's synthetic models, a 256-app solve took ~20 ms with
+KKT against ~100 ms with SLSQP, and from 4 to 128 apps neither won
+consistently.  On the Figure 10 co-run, whose ports carry at most 11
+applications, a KKT solve averaged 11.5 ms against 4.8 ms for SLSQP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import AllocationError
 from repro.core.sensitivity import SensitivityModel
-
-_SOLVERS = ("auto", "slsqp", "kkt", "projgrad")
 
 #: Default weight floor: no application is starved below 10 % of the
 #: Saba share (WFQ "is not subject to starvation", Section 5.2; the
@@ -85,17 +89,14 @@ def optimize_weights(
     models: Sequence[SensitivityModel],
     total: float = 1.0,
     min_weight: float = DEFAULT_MIN_WEIGHT,
-    solver: str = "auto",
     stats: Optional[dict] = None,
 ) -> List[float]:
     """Solve Eq. 2; returns one weight per model, summing to ``total``.
 
     ``stats``, when given, is filled in place with solver telemetry:
-    ``{"solver": <name actually used>, "iterations": <int>}`` --
-    consumed by the observability layer's ``solve.end`` events.
+    ``{"solver": <method used>, "iterations": <int>}`` -- consumed by
+    the observability layer's ``solve.end`` events.
     """
-    if solver not in _SOLVERS:
-        raise AllocationError(f"unknown solver {solver!r}; use one of {_SOLVERS}")
     problem = AllocationProblem(
         models=tuple(models), total=total, min_weight=min_weight
     )
@@ -106,21 +107,14 @@ def optimize_weights(
         stats.update(solver="direct", iterations=0)
         return [problem.total]
     if problem.min_weight * n >= problem.total - 1e-9:
-        # The floor consumes the whole budget: the equal split is the
-        # only feasible point.
         stats.update(solver="equal", iterations=0)
         return equal_split(problem)
-    if solver == "auto":
-        hi = problem.total - (n - 1) * problem.min_weight
-        convex = all(
-            m.is_convex_decreasing(problem.min_weight, hi)
-            for m in problem.models
-        )
-        solver = "kkt" if convex else "slsqp"
-    if solver == "kkt":
+    hi = problem.total - (n - 1) * problem.min_weight
+    if all(
+        m.is_convex_decreasing(problem.min_weight, hi)
+        for m in problem.models
+    ):
         return _solve_kkt(problem, stats)
-    if solver == "projgrad":
-        return _solve_projected_gradient(problem, stats=stats)
     return _solve_slsqp(problem, stats)
 
 
@@ -184,12 +178,8 @@ def _weights_at_lambda(
     return w
 
 
-def _solve_kkt(
-    problem: AllocationProblem, stats: Optional[dict] = None
-) -> List[float]:
+def _solve_kkt(problem: AllocationProblem, stats: dict) -> List[float]:
     """Bisection on the shared marginal ``lambda`` (vectorised)."""
-    if stats is None:
-        stats = {}
     n = len(problem.models)
     lo_w = problem.min_weight
     hi_w = problem.total - (n - 1) * problem.min_weight
@@ -232,9 +222,7 @@ def _solve_kkt(
 # -- SLSQP -----------------------------------------------------------------------
 
 
-def _solve_slsqp(
-    problem: AllocationProblem, stats: Optional[dict] = None
-) -> List[float]:
+def _solve_slsqp(problem: AllocationProblem, stats: dict) -> List[float]:
     from scipy import optimize  # local import: keep scipy optional at import time
 
     n = len(problem.models)
@@ -259,56 +247,8 @@ def _solve_slsqp(
     )
     if not result.success and not np.isfinite(result.fun):
         raise AllocationError(f"SLSQP failed: {result.message}")
-    if stats is not None:
-        stats.update(solver="slsqp", iterations=int(result.nit))
+    stats.update(solver="slsqp", iterations=int(result.nit))
     return _renormalise([float(w) for w in result.x], problem)
-
-
-# -- Projected gradient ------------------------------------------------------------
-
-
-def _project_simplex_with_floor(
-    x: np.ndarray, total: float, floor: float
-) -> np.ndarray:
-    """Euclidean projection onto {w : sum w = total, w >= floor}.
-
-    Substituting ``v = w - floor`` reduces to projection onto the
-    scaled simplex {v >= 0, sum v = total - n*floor} (Duchi et al.).
-    """
-    n = len(x)
-    budget = total - n * floor
-    v = x - floor
-    if budget <= 0:
-        return np.full(n, floor)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho_candidates = u - (css - budget) / np.arange(1, n + 1)
-    rho = int(np.nonzero(rho_candidates > 0)[0][-1])
-    theta = (css[rho] - budget) / (rho + 1)
-    return np.maximum(v - theta, 0.0) + floor
-
-
-def _solve_projected_gradient(
-    problem: AllocationProblem,
-    iters: int = 400,
-    lr: float = 0.05,
-    stats: Optional[dict] = None,
-) -> List[float]:
-    if stats is not None:
-        stats.update(solver="projgrad", iterations=iters)
-    n = len(problem.models)
-    x = np.full(n, problem.total / n)
-    best = x.copy()
-    best_val = problem.objective(x)
-    for step in range(iters):
-        grad = np.array([m.derivative(float(w)) for m, w in zip(problem.models, x)])
-        x = _project_simplex_with_floor(
-            x - lr * grad / (1.0 + step / 40.0), problem.total, problem.min_weight
-        )
-        val = problem.objective(x)
-        if val < best_val:
-            best_val, best = val, x.copy()
-    return _renormalise([float(w) for w in best], problem)
 
 
 # -- shared ------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The controller keeps a registry of Saba-compliant applications and the
 per-port sets of connections they have open.  On every registration,
 deregistration, connection creation and connection destruction it
 
-1. re-derives the application-to-PL mapping (K-means over sensitivity
-   coefficients, Section 5.3.1) when the application set changed;
+1. re-derives the application-to-PL mapping when the application set
+   changed, clustering incrementally on sensitivity coefficients (the
+   online equivalent of Section 5.3.1's K-means; see ``_assign_pl``);
 2. rebuilds the PL hierarchy (Section 5.3.2) for PL-to-queue mapping;
 3. hands the affected ports to the shared
    :class:`~repro.core.pipeline.AllocationPipeline`, which solves
@@ -29,7 +30,6 @@ pipeline's job, identical between this and the distributed design.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -46,7 +46,6 @@ from repro.obs.events import (
     NULL_OBSERVER,
     Observer,
 )
-from repro.core.allocation import DEFAULT_MIN_WEIGHT
 from repro.core.clustering import PLHierarchy
 from repro.core.pipeline import (
     DEFAULT_C_SABA,
@@ -116,14 +115,10 @@ class SabaController:
         table: SensitivityTable,
         num_pls: int = NUM_PRIORITY_LEVELS,
         c_saba: float = DEFAULT_C_SABA,
-        min_weight: float = DEFAULT_MIN_WEIGHT,
-        solver: str = "auto",
         collapse_alpha: Optional[float] = None,
         reserved_queue: Optional[int] = None,
-        use_weight_cache: bool = True,
         use_signature_cache: bool = True,
         coalesce_quantum: float = 0.0,
-        seed: int = 0,
         observer: Optional[Observer] = None,
         model_provider: Optional[object] = None,
     ) -> None:
@@ -134,8 +129,6 @@ class SabaController:
                 (InfiniBand: 16 service levels).
             c_saba: link-capacity share managed by Saba (Eq. 2's
                 constraint right-hand side).
-            min_weight: starvation floor per application.
-            solver: Eq. 2 solver ("auto" / "slsqp" / "kkt" / "projgrad").
             collapse_alpha: per-queue congestion-control loss of the
                 underlying transport (see
                 :func:`repro.simnet.fairness.fecn_collapse`).  Saba
@@ -151,14 +144,12 @@ class SabaController:
             observer: observability sink (:mod:`repro.obs`); emits
                 registration, solve, and port-programming events.  The
                 no-op default costs nothing.
-            use_weight_cache: memoise Eq. 2 per application multiset.
             use_signature_cache: skip reprogramming ports whose
                 programmed signature is unchanged (exact; see
                 :mod:`repro.core.pipeline`).
             coalesce_quantum: sim-seconds over which connection-churn
                 port updates are batched into one reallocation pass
                 (0 = eager, the default).
-            seed: K-means seeding (determinism).
             model_provider: where sensitivity models come from (a
                 :class:`~repro.online.provider.ModelProvider`).  The
                 default wraps ``table`` in an
@@ -179,13 +170,9 @@ class SabaController:
         self._provider = model_provider
         self.num_pls = num_pls
         self.c_saba = c_saba
-        self.min_weight = min_weight
-        self.solver = solver
         self.collapse_alpha = collapse_alpha
         self.reserved_queue = reserved_queue
-        self.use_weight_cache = use_weight_cache
         self.observer = observer if observer is not None else NULL_OBSERVER
-        self._rng = random.Random(seed)
 
         self.stats = ControllerStats()
         self._fabric: Optional[FluidFabric] = None
@@ -204,10 +191,7 @@ class SabaController:
             self._port_apps.get,
             metrics_prefix="controller",
             c_saba=c_saba,
-            min_weight=min_weight,
-            solver=solver,
             reserved_queue=reserved_queue,
-            use_weight_cache=use_weight_cache,
             use_signature_cache=use_signature_cache,
             coalesce_quantum=coalesce_quantum,
             observer=self.observer,

@@ -49,7 +49,6 @@ from repro.obs.events import (
     NULL_OBSERVER,
     Observer,
 )
-from repro.core.allocation import DEFAULT_MIN_WEIGHT
 from repro.core.clustering import PLHierarchy, kmeans
 from repro.core.pipeline import (
     DEFAULT_C_SABA,
@@ -108,15 +107,6 @@ class MappingDatabase:
                 f"workload {workload!r} is not in the mapping database"
             ) from None
 
-    def replicate(self) -> "MappingDatabase":
-        """A replica (the design co-locates one with each controller)."""
-        replica = object.__new__(MappingDatabase)
-        replica.table = self.table
-        replica._pl_of_workload = dict(self._pl_of_workload)
-        replica.pl_models = dict(self.pl_models)
-        replica.hierarchy = self.hierarchy
-        return replica
-
 
 @dataclass
 class DistributedStats:
@@ -134,9 +124,8 @@ class DistributedStats:
 class _ControllerShard:
     """One controller instance owning a subset of switches."""
 
-    def __init__(self, shard_id: int, db: MappingDatabase) -> None:
+    def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
-        self.db = db
         self.port_apps: Dict[str, Counter] = {}
 
 
@@ -176,7 +165,7 @@ class _DatabaseView:
 
 
 class DistributedControllerGroup:
-    """N controller shards + replicated mapping database.
+    """N controller shards reading one offline mapping database.
 
     Satisfies both the fabric-policy protocol and the controller RPC
     surface, so the Saba library works with it unchanged.
@@ -189,11 +178,8 @@ class DistributedControllerGroup:
         db: MappingDatabase,
         n_shards: int = 4,
         c_saba: float = DEFAULT_C_SABA,
-        min_weight: float = DEFAULT_MIN_WEIGHT,
-        solver: str = "auto",
         collapse_alpha: Optional[float] = None,
         reserved_queue: Optional[int] = None,
-        use_weight_cache: bool = True,
         use_signature_cache: bool = True,
         coalesce_quantum: float = 0.0,
         observer: Optional[Observer] = None,
@@ -203,15 +189,11 @@ class DistributedControllerGroup:
         self.db = db
         self.n_shards = n_shards
         self.c_saba = c_saba
-        self.min_weight = min_weight
-        self.solver = solver
         self.collapse_alpha = collapse_alpha
         self.reserved_queue = reserved_queue
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.stats = DistributedStats()
-        self._shards = [
-            _ControllerShard(i, db.replicate()) for i in range(n_shards)
-        ]
+        self._shards = [_ControllerShard(i) for i in range(n_shards)]
         self._owner_of_switch: Dict[str, int] = {}
         self._apps: Dict[str, str] = {}
         self._fabric: Optional[FluidFabric] = None
@@ -221,10 +203,7 @@ class DistributedControllerGroup:
             self._counter_of,
             metrics_prefix="distributed",
             c_saba=c_saba,
-            min_weight=min_weight,
-            solver=solver,
             reserved_queue=reserved_queue,
-            use_weight_cache=use_weight_cache,
             use_signature_cache=use_signature_cache,
             coalesce_quantum=coalesce_quantum,
             observer=self.observer,

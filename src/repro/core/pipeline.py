@@ -254,10 +254,7 @@ class AllocationPipeline:
         *,
         metrics_prefix: str = "controller",
         c_saba: float = DEFAULT_C_SABA,
-        min_weight: float = DEFAULT_MIN_WEIGHT,
-        solver: str = "auto",
         reserved_queue: Optional[int] = None,
-        use_weight_cache: bool = True,
         use_signature_cache: bool = True,
         coalesce_quantum: float = 0.0,
         observer: Optional[Observer] = None,
@@ -272,9 +269,8 @@ class AllocationPipeline:
                 connection counter (falsy/None means no connections).
             metrics_prefix: metric namespace (``controller`` /
                 ``distributed``) so existing dashboards keep working.
-            c_saba / min_weight / solver / reserved_queue: Eq. 2 and
-                programming parameters, as on the frontends.
-            use_weight_cache: memoise Eq. 2 per model-name multiset.
+            c_saba / reserved_queue: Eq. 2 and programming
+                parameters, as on the frontends.
             use_signature_cache: skip ports whose programmed signature
                 is unchanged (exact; see the module docstring).
             coalesce_quantum: sim-seconds to batch connection-churn
@@ -287,9 +283,6 @@ class AllocationPipeline:
         self._counter_of = counter_of
         self.metrics_prefix = metrics_prefix
         self.c_saba = c_saba
-        self.min_weight = min_weight
-        self.solver = solver
-        self.use_weight_cache = use_weight_cache
         self.use_signature_cache = use_signature_cache
         self.coalesce_quantum = coalesce_quantum
         self.observer = observer if observer is not None else NULL_OBSERVER
@@ -339,11 +332,7 @@ class AllocationPipeline:
     # -- entry points -----------------------------------------------------------
 
     def reallocate(
-        self,
-        link_ids: Iterable[str],
-        *,
-        coalesce: bool = False,
-        force: bool = False,
+        self, link_ids: Iterable[str], *, coalesce: bool = False
     ) -> None:
         """Re-derive and re-program the given ports.
 
@@ -352,8 +341,7 @@ class AllocationPipeline:
         fabric, the links join the pending set and one flush pass is
         scheduled a quantum from now.  Eager calls merge any pending
         links into their own pass, so no update is ever lost or
-        reordered across an eager boundary.  ``force`` bypasses the
-        signature cache (used by the Figure 12 full recompute).
+        reordered across an eager boundary.
         """
         link_ids = list(link_ids)
         if (
@@ -376,7 +364,7 @@ class AllocationPipeline:
                 self._pending[link_id] = None
             link_ids = list(self._pending)
             self._pending.clear()
-        self._run_pass(link_ids, force=force)
+        self._run_pass(link_ids)
 
     def flush_pending(self) -> None:
         """Run any pending coalesced updates now (deterministic
@@ -385,7 +373,7 @@ class AllocationPipeline:
             link_ids = list(self._pending)
             self._pending.clear()
             self.stats.coalesce_flushes += 1
-            self._run_pass(link_ids, force=False)
+            self._run_pass(link_ids)
 
     def _flush(self) -> None:
         self._flush_scheduled = False
@@ -407,31 +395,32 @@ class AllocationPipeline:
                 dropped += 1
         return dropped
 
-    def recompute_ports(
-        self, link_ids: Iterable[str], force: bool = True
-    ) -> float:
+    def recompute_ports(self, link_ids: Iterable[str]) -> float:
         """Recompute the given ports' allocations; returns seconds.
 
         The Figure 12 benchmark path: "the time the controller takes
         to compute the bandwidth share of applications for all
-        switches".  No reallocation event is emitted and rates are not
-        invalidated -- this is a timing probe, not a control action.
+        switches".  Every port is recomputed in full: the probe
+        bypasses the signature cache and solves Eq. 2 at every port,
+        neither reading nor writing the weight cache.  No reallocation
+        event is emitted and rates are not invalidated -- this is a
+        timing probe, not a control action.
         """
         self._sync_epoch()
         t0 = time.perf_counter()
         for link_id in list(link_ids):
-            self._reallocate_port(link_id, force=force)
+            self._reallocate_port(link_id, probe=True)
         return time.perf_counter() - t0
 
     # -- the reallocation pass --------------------------------------------------
 
-    def _run_pass(self, link_ids: Sequence[str], force: bool) -> None:
+    def _run_pass(self, link_ids: Sequence[str]) -> None:
         self._sync_epoch()
         self.stats.passes += 1
         t0 = time.perf_counter()
         changed = []
         for link_id in link_ids:
-            if self._reallocate_port(link_id, force=force):
+            if self._reallocate_port(link_id):
                 changed.append(link_id)
         elapsed = time.perf_counter() - t0
         obs = self.observer
@@ -477,8 +466,11 @@ class AllocationPipeline:
         )
         return (self._view.epoch, tuple(pairs))
 
-    def _reallocate_port(self, link_id: str, force: bool = False) -> bool:
-        """Stage 1-6 for one port; returns whether the table changed."""
+    def _reallocate_port(self, link_id: str, probe: bool = False) -> bool:
+        """Stage 1-6 for one port; returns whether the table changed.
+
+        ``probe`` (:meth:`recompute_ports`) recomputes the port in
+        full, past the signature cache and the weight cache."""
         fabric = self._fabric
         if fabric is None:
             return False
@@ -487,7 +479,7 @@ class AllocationPipeline:
         obs = self.observer
         use_sig = self.use_signature_cache
         if not counter:
-            if use_sig and not force and self._signatures.get(link_id) == (
+            if use_sig and not probe and self._signatures.get(link_id) == (
                 _RESET_SIG, qtable.generation
             ):
                 self._note_skip(obs)
@@ -503,7 +495,7 @@ class AllocationPipeline:
         sig: Optional[Tuple[object, ...]] = None
         if use_sig:
             sig = self._signature_of(apps)
-            if not force and self._signatures.get(link_id) == (
+            if not probe and self._signatures.get(link_id) == (
                 sig, qtable.generation
             ):
                 self._note_skip(obs)
@@ -523,7 +515,7 @@ class AllocationPipeline:
             pl: row_to_queue[self._view.row_of(pl)] for pl in active_pls
         }
         pl_to_queue = self.programmer.shift_reserved(pl_to_queue)
-        app_weights = self._weights_for(apps)
+        app_weights = self._weights_for(apps, cached=not probe)
         queue_weights: Dict[int, float] = {}
         for app, weight in zip(apps, app_weights):
             queue = pl_to_queue[self._view.pl_of(app)]
@@ -546,40 +538,35 @@ class AllocationPipeline:
 
     # -- the weight solve -------------------------------------------------------
 
-    def _weights_for(self, apps: Sequence[str]) -> List[float]:
-        """Eq. 2 over the applications at one port (cached).
+    def _weights_for(
+        self, apps: Sequence[str], cached: bool = True
+    ) -> List[float]:
+        """Eq. 2 over the applications at one port.
 
         Datacenter workloads churn connections far faster than the set
         of co-located applications changes, so the per-model-multiset
         cache eliminates nearly all optimiser invocations in steady
-        state (the Figure 12 benchmark disables it to time raw
-        calculations)."""
+        state.  ``cached=False`` (the Figure 12 probe, which times raw
+        calculations) neither reads nor writes it."""
         models = [self._view.model_of(a) for a in apps]
         order = sorted(range(len(apps)), key=lambda i: models[i].name)
         key = tuple(models[i].name for i in order)
-        weights_sorted = (
-            self._weight_cache.get(key) if self.use_weight_cache else None
-        )
+        weights_sorted = self._weight_cache.get(key) if cached else None
         obs = self.observer
         prefix = self.metrics_prefix
         if weights_sorted is None:
             self.stats.optimizer_calls += 1
             ordered_models = [models[i] for i in order]
-            solve_stats: Optional[dict] = None
+            solve_stats: dict = {}
             if obs.enabled:
-                solve_stats = {}
-                obs.emit(
-                    SOLVE_BEGIN, self._sim_now(), apps=len(apps),
-                    solver=self.solver,
-                )
+                obs.emit(SOLVE_BEGIN, self._sim_now(), apps=len(apps))
             t0 = time.perf_counter()
             weights_sorted = optimize_weights(
                 ordered_models,
                 total=self.c_saba,
                 min_weight=min(
-                    self.min_weight, self.c_saba / (2 * len(apps))
+                    DEFAULT_MIN_WEIGHT, self.c_saba / (2 * len(apps))
                 ),
-                solver=self.solver,
                 stats=solve_stats,
             )
             if obs.enabled:
@@ -594,11 +581,11 @@ class AllocationPipeline:
                 )
                 obs.emit(
                     SOLVE_END, self._sim_now(), apps=len(apps),
-                    solver=(solve_stats or {}).get("solver", self.solver),
-                    iterations=(solve_stats or {}).get("iterations"),
+                    solver=solve_stats["solver"],
+                    iterations=solve_stats["iterations"],
                     objective=objective, duration=elapsed,
                 )
-            if self.use_weight_cache:
+            if cached:
                 self._weight_cache[key] = weights_sorted
         else:
             self.stats.solver_cache_hits += 1

@@ -7,7 +7,7 @@ Figure 4).
 
 The table maps workload name -> :class:`SensitivityModel` and
 round-trips through JSON so profiling results can be shipped to
-controllers (the distributed design stores them in a replicated
+controllers (the distributed design reads them from a mapping
 database; see :mod:`repro.core.distributed`).
 """
 

@@ -144,7 +144,7 @@ def make_policy(
     ``name`` is one of ``"baseline"`` (InfiniBand FECN), ``"ideal"``
     (alias ``"ideal-maxmin"``), ``"homa"``, ``"sincronia"``,
     ``"saba"`` (needs ``table``), ``"saba-distributed"`` (sharded
-    controller group over a replicated mapping database; needs a
+    controller group over the offline mapping database; needs a
     non-empty ``table``, accepts ``n_shards``), or
     ``"saba-online"``.  Testbed-style comparisons keep
     ``collapse_alpha`` so Saba runs on the same congestion-control
@@ -167,10 +167,8 @@ def make_policy(
     run's observer -- the sampler cannot guess job specs from bus
     events.
 
-    The returned setup iterates as ``(policy, connections_factory)``
-    for callers still unpacking the pre-:class:`PolicySetup` tuple;
-    new code should pass the setup straight to
-    :class:`~repro.cluster.runtime.CoRunExecutor` (or read
+    Pass the returned setup straight to
+    :class:`~repro.cluster.runtime.CoRunExecutor` (and read
     ``setup.controller`` to inspect controller state after a run).
     """
     if name == "baseline":
@@ -441,34 +439,6 @@ def build_scenario(
     return Scenario(
         spec=spec, topology=topology, setup=setup, executor=executor,
     )
-
-
-def run_jobs(
-    topology: Topology,
-    jobs: Sequence[Job],
-    policy,
-    connections_factory=None,
-    recorder=None,
-    observer=None,
-    completion_quantum: float = EXPERIMENT_QUANTUM,
-) -> Dict[str, JobResult]:
-    """Run one co-run to completion.
-
-    ``observer`` threads a shared :class:`repro.obs.Observer` through
-    the executor, fabric, and engine; pass the same observer to
-    :func:`make_policy` to capture the controller's decisions too.
-    ``completion_quantum`` overrides the default completion-batching
-    quantum (:data:`EXPERIMENT_QUANTUM`).
-    """
-    executor = CoRunExecutor(
-        topology,
-        policy=policy,
-        connections_factory=connections_factory,
-        recorder=recorder,
-        completion_quantum=completion_quantum,
-        observer=observer,
-    )
-    return executor.run(jobs)
 
 
 @dataclass(frozen=True)

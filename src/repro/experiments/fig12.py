@@ -10,9 +10,9 @@ distributed among nodes."
 Each scenario registers ``|A|`` applications (drawn with replacement
 from synthetic sensitivity models fitted with degree k), spreads 32
 connection paths per application across the ports of a topology, and
-times :meth:`SabaController.recompute_all_ports` with the Eq. 2 cache
-disabled -- measuring raw optimiser + clustering work exactly as the
-paper does.
+times :meth:`SabaController.recompute_all_ports`, which solves Eq. 2
+at every port past the controller's caches -- measuring raw optimiser
++ clustering work exactly as the paper does.
 """
 
 from __future__ import annotations
@@ -62,24 +62,22 @@ def run_scenario(
     n_servers: Optional[int] = None,
     paths_per_app: int = 32,
     seed: int = 0,
-    solver: str = "kkt",
 ) -> OverheadScenario:
     """Time one full-controller recomputation for ``n_apps`` apps.
 
     ``n_servers`` defaults to ``max(32, n_apps)``, matching the paper's
     geometry: its 1,000-application scenarios spread 32 instances per
     application over 1,944 servers, so a port serves a few dozen
-    applications, not hundreds.  The KKT solver is the realistic
-    choice at those counts (the ablation benchmark compares solvers).
+    applications, not hundreds.  The synthetic models are convex and
+    decreasing, so every port with more than one application takes
+    Eq. 2's KKT path.
     """
     if n_servers is None:
         n_servers = max(32, n_apps)
     table = synthetic_model_table(min(n_apps, 64), degree=degree, seed=seed)
     names = table.names()
     rng = random.Random(seed + 1)
-    controller = SabaController(
-        table, use_weight_cache=False, solver=solver
-    )
+    controller = SabaController(table)
     topo = single_switch(n_servers)
     fabric = FluidFabric(topo)
     fabric.set_policy(controller)

@@ -23,11 +23,14 @@ work, so disabled runs are bit-identical to uninstrumented ones.
 
 Typical use::
 
+    from repro.cluster.runtime import CoRunExecutor
+    from repro.experiments.common import make_policy
     from repro.obs import Observer, attach_trace_writer
 
     observer = Observer()
     writer = attach_trace_writer(observer, "run.jsonl")
-    results = run_jobs(topology, jobs, policy, factory, observer=observer)
+    setup = make_policy("saba", table, observer=observer)
+    results = CoRunExecutor(topology, policy=setup, observer=observer).run(jobs)
     writer.close()
     print(observer.metrics.snapshot())
 """

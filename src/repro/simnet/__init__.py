@@ -30,14 +30,6 @@ from repro.simnet.packetsim import (
     PortSimulator,
     StrictPriority,
 )
-from repro.simnet.trace import (
-    FctSummary,
-    cdf_points,
-    flow_records,
-    summarize_fct,
-    write_csv,
-    write_json,
-)
 
 __all__ = [
     "Simulator",
@@ -61,10 +53,4 @@ __all__ = [
     "DeficitRoundRobin",
     "PortSimulator",
     "StrictPriority",
-    "FctSummary",
-    "cdf_points",
-    "flow_records",
-    "summarize_fct",
-    "write_csv",
-    "write_json",
 ]

@@ -6,12 +6,24 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import AllocationError
 from repro.core.allocation import (
     AllocationProblem,
+    _solve_kkt,
+    _solve_slsqp,
     equal_split,
     optimize_weights,
 )
-from repro.core.sensitivity import PROFILE_FRACTIONS, fit_sensitivity_model
+from repro.core.sensitivity import (
+    PROFILE_FRACTIONS,
+    SensitivityModel,
+    fit_sensitivity_model,
+)
 
-SOLVERS = ("slsqp", "kkt", "projgrad")
+#: The two methods :func:`optimize_weights` dispatches a multi-app port
+#: to, called directly so each can serve as the other's oracle.
+SOLVERS = {"slsqp": _solve_slsqp, "kkt": _solve_kkt}
+
+
+def _solve(solver, models, **problem):
+    return SOLVERS[solver](AllocationProblem(models=tuple(models), **problem), {})
 
 
 def _model(name, c, aux=0.0):
@@ -27,32 +39,25 @@ INSENSITIVE = _model("insensitive", c=0.1, aux=0.4)
 
 
 def test_single_app_gets_everything():
-    for solver in SOLVERS + ("auto",):
-        assert optimize_weights([SENSITIVE], solver=solver) == [1.0]
+    assert optimize_weights([SENSITIVE]) == [1.0]
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_weights_sum_to_total(solver):
-    weights = optimize_weights(
-        [SENSITIVE, INSENSITIVE, SENSITIVE], total=0.9, solver=solver
-    )
+    weights = _solve(solver, [SENSITIVE, INSENSITIVE, SENSITIVE], total=0.9)
     assert sum(weights) == pytest.approx(0.9, abs=1e-6)
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_sensitive_app_gets_more(solver):
-    w_sens, w_insens = optimize_weights(
-        [SENSITIVE, INSENSITIVE], solver=solver
-    )
+    w_sens, w_insens = _solve(solver, [SENSITIVE, INSENSITIVE])
     assert w_sens > w_insens + 0.1
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_min_weight_respected(solver):
-    weights = optimize_weights(
-        [SENSITIVE, INSENSITIVE, INSENSITIVE],
-        min_weight=0.05,
-        solver=solver,
+    weights = _solve(
+        solver, [SENSITIVE, INSENSITIVE, INSENSITIVE], min_weight=0.05
     )
     assert all(w >= 0.05 - 1e-9 for w in weights)
 
@@ -65,9 +70,7 @@ def test_identical_models_get_equal_weights():
 
 def test_solvers_agree_on_convex_instance():
     models = [SENSITIVE, INSENSITIVE, _model("mid", c=0.4)]
-    results = {
-        solver: optimize_weights(models, solver=solver) for solver in SOLVERS
-    }
+    results = {solver: _solve(solver, models) for solver in SOLVERS}
     problem = AllocationProblem(models=tuple(models))
     objectives = {
         solver: problem.objective(w) for solver, w in results.items()
@@ -79,20 +82,41 @@ def test_solvers_agree_on_convex_instance():
 
 def test_kkt_matches_slsqp_closely():
     models = [_model(f"m{i}", c=0.1 + 0.2 * i) for i in range(4)]
-    w_kkt = optimize_weights(models, solver="kkt")
-    w_slsqp = optimize_weights(models, solver="slsqp")
+    w_kkt = _solve("kkt", models)
+    w_slsqp = _solve("slsqp", models)
     for a, b in zip(w_kkt, w_slsqp):
         assert a == pytest.approx(b, abs=0.05)
 
 
 def test_auto_solver_runs():
-    weights = optimize_weights([SENSITIVE, INSENSITIVE], solver="auto")
+    weights = optimize_weights([SENSITIVE, INSENSITIVE])
     assert sum(weights) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_unknown_solver_rejected():
-    with pytest.raises(AllocationError):
-        optimize_weights([SENSITIVE], solver="magic")
+#: D = 0.2 + 0.8/b and D = 0.7 + 0.3/b: convex and decreasing.
+CONVEX = [
+    SensitivityModel(name="steep", coefficients=(0.2, 0.8)),
+    SensitivityModel(name="flat", coefficients=(0.7, 0.3)),
+]
+#: Not decreasing on the feasible box: D = 3 - 2/b + 0.5/b^2 falls to
+#: a minimum at b = 0.5, then rises again.
+NON_CONVEX = SensitivityModel(name="dip", coefficients=(3.0, -2.0, 0.5))
+
+
+@pytest.mark.parametrize("models, label", [
+    ([SENSITIVE], "direct"),
+    ([SENSITIVE] * 10, "equal"),
+    (CONVEX, "kkt"),
+    ([CONVEX[0], NON_CONVEX], "slsqp"),
+])
+def test_dispatch_reports_the_method_used(models, label):
+    """The one dispatch: one app, floor-exhausted, all convex, else."""
+    stats = {}
+    weights = optimize_weights(models, min_weight=0.1, stats=stats)
+    assert stats["solver"] == label
+    assert sum(weights) == pytest.approx(1.0, abs=1e-6)
+    if label in SOLVERS:
+        assert weights == _solve(label, models, min_weight=0.1)
 
 
 def test_problem_validation():
@@ -172,7 +196,7 @@ def test_kkt_handles_mixed_degrees():
         "high", [(b, max(1.0, 0.2 + 0.8 / b)) for b in PROFILE_FRACTIONS],
         degree=3,
     )
-    weights = optimize_weights([low, high], solver="kkt")
+    weights = _solve("kkt", [low, high])
     assert sum(weights) == pytest.approx(1.0, abs=1e-5)
     assert weights[1] > weights[0]  # steeper model earns more
 
@@ -181,9 +205,9 @@ def test_vectorised_kkt_matches_scalar_objective_at_scale():
     models = [
         _model(f"m{i}", c=0.05 + 0.9 * (i / 39)) for i in range(40)
     ]
-    weights = optimize_weights(models, solver="kkt", min_weight=0.005)
+    weights = _solve("kkt", models, min_weight=0.005)
     problem = AllocationProblem(
         models=tuple(models), min_weight=0.005
     )
-    slsqp = optimize_weights(models, solver="slsqp", min_weight=0.005)
+    slsqp = _solve("slsqp", models, min_weight=0.005)
     assert problem.objective(weights) <= problem.objective(slsqp) * 1.02

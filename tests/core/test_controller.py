@@ -152,9 +152,25 @@ def test_reserved_queue_isolates_untagged_traffic(small_table):
 
 def test_recompute_all_ports_returns_time(controller):
     controller.app_register("a", "LR")
-    controller.conn_create("a", [_nic(0)])
+    controller.app_register("b", "PR")
+    controller.conn_create("a", [_nic(0), _egress(1)])
+    controller.conn_create("b", [_nic(0)])
+    pipeline = controller.pipeline
+    stats = pipeline.stats
+    cache = dict(pipeline._weight_cache)
+    calls, hits = stats.optimizer_calls, stats.solver_cache_hits
     elapsed = controller.recompute_all_ports()
     assert elapsed >= 0.0
+    # The timing probe solves Eq. 2 at every port, past the weight
+    # cache, and leaves the cache as it found it.
+    assert stats.optimizer_calls == calls + 2
+    assert stats.solver_cache_hits == hits
+    assert pipeline._weight_cache.keys() == cache.keys()
+    assert all(pipeline._weight_cache[k] is v for k, v in cache.items())
+    pipeline._weight_cache.clear()
+    controller.recompute_all_ports()
+    assert stats.optimizer_calls == calls + 4
+    assert pipeline._weight_cache == {}
 
 
 def test_many_apps_of_same_workload_fold_into_pl(small_table):

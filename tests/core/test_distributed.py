@@ -38,12 +38,6 @@ def test_database_rejects_empty_table():
         MappingDatabase(SensitivityTable())
 
 
-def test_database_replication(db):
-    replica = db.replicate()
-    assert replica.pl_of("LR") == db.pl_of("LR")
-    assert replica.hierarchy is db.hierarchy  # shared immutable state
-
-
 def _group(db, topo, n_shards=2):
     group = DistributedControllerGroup(db, n_shards=n_shards)
     fabric = FluidFabric(topo)

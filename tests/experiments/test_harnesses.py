@@ -46,11 +46,10 @@ def test_standalone_times_positive():
 
 def test_make_policy_variants(catalog_table):
     for name in ("baseline", "ideal"):
-        policy, factory = make_policy(name)
-        assert factory is None
-        assert policy.name
-    policy, factory = make_policy("saba", table=catalog_table)
-    assert factory is not None
+        setup = make_policy(name)
+        assert setup.connections_factory is None
+        assert setup.policy.name
+    assert make_policy("saba", table=catalog_table).connections_factory is not None
     with pytest.raises(ValueError):
         make_policy("saba")
     with pytest.raises(ValueError):
@@ -65,9 +64,6 @@ def test_make_policy_returns_policy_setup(catalog_table):
     # The controller handle is the policy itself for the centralized
     # design, so callers can read its stats after a run.
     assert setup.controller is setup.policy
-    # Tuple unpacking keeps working during migration.
-    policy, factory = setup
-    assert policy is setup.policy and factory is setup.connections_factory
 
     baseline = make_policy("baseline")
     assert baseline.controller is None

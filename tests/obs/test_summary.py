@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cluster.jobs import Job
-from repro.experiments.common import make_policy, run_jobs
+from repro.cluster.runtime import CoRunExecutor
+from repro.experiments.common import EXPERIMENT_QUANTUM, make_policy
 from repro.obs import events as ev
 from repro.obs.events import Observer
 from repro.obs.export import attach_trace_writer, read_trace
@@ -150,10 +151,10 @@ def _corun_jobs(topo):
 
 def _run_saba(small_table, observer=None):
     topo = single_switch(8, capacity=GBPS_56)
-    policy, factory = make_policy("saba", table=small_table,
-                                  observer=observer)
-    return run_jobs(topo, _corun_jobs(topo), policy, factory,
-                    observer=observer)
+    setup = make_policy("saba", table=small_table, observer=observer)
+    executor = CoRunExecutor(topo, policy=setup, observer=observer,
+                             completion_quantum=EXPERIMENT_QUANTUM)
+    return executor.run(_corun_jobs(topo))
 
 
 def test_saba_corun_trace_and_metrics(small_table, tmp_path):
