@@ -24,13 +24,14 @@ from the instance and reports it as ``stats["solver"]``:
   Programming, the algorithm the paper uses via NLopt (Section 7.2),
   which handles non-convex polynomial models.
 
-A KKT solve is a near-constant number of numpy calls, ~10-20 ms
+A KKT solve is a near-constant number of numpy calls, ~5-20 ms
 whatever ``n``; SLSQP's cost grows with ``n`` and with its iteration
 count.  KKT is the faster one only on large ports.  On a 2-vCPU VM,
-with Figure 12's synthetic models, a 256-app solve took ~20 ms with
-KKT against ~100 ms with SLSQP, and from 4 to 128 apps neither won
+with Figure 12's synthetic models, a 256-app solve took ~15 ms with
+KKT against ~70 ms with SLSQP, and from 4 to 128 apps neither won
 consistently.  On the Figure 10 co-run, whose ports carry at most 11
-applications, a KKT solve averaged 11.5 ms against 4.8 ms for SLSQP.
+applications, a KKT solve (4-24 Brent probes of 30 bisection steps)
+averaged 5.1 ms against 3.2 ms for SLSQP.
 """
 
 from __future__ import annotations
@@ -136,21 +137,23 @@ class _ModelBatch:
     def __init__(self, models: Sequence[SensitivityModel]) -> None:
         self.n = len(models)
         degree = max(m.degree for m in models)
-        self.coeffs = np.zeros((self.n, degree + 1))
+        coeffs = np.zeros((self.n, degree + 1))
         for i, m in enumerate(models):
-            self.coeffs[i, : m.degree + 1] = m.coefficients
+            coeffs[i, : m.degree + 1] = m.coefficients
+        #: ``k * c_k`` per degree, highest first: the Horner columns of
+        #: ``dD/dx``.
+        self.slopes = [k * coeffs[:, k] for k in range(degree, 0, -1)]
         self.inverse = np.array([m.basis == "inverse" for m in models])
         self.lo = np.array([m.fit_domain[0] for m in models])
         self.hi = np.array([m.fit_domain[1] for m in models])
-        self.degree = degree
 
     def derivative(self, w: np.ndarray) -> np.ndarray:
         """dD/db at ``w`` (per model), with domain clipping."""
-        b = np.clip(w, self.lo, self.hi)
+        b = np.minimum(np.maximum(w, self.lo), self.hi)
         x = np.where(self.inverse, 1.0 / b, b)
         acc = np.zeros(self.n)
-        for k in range(self.degree, 0, -1):
-            acc = acc * x + k * self.coeffs[:, k]
+        for slope in self.slopes:
+            acc = acc * x + slope
         return np.where(self.inverse, acc * (-1.0 / (b * b)), acc)
 
 

@@ -85,8 +85,8 @@ class _ControllerView:
         # Sum of two monotonic revisions: the controller's own
         # clustering epoch and the model provider's.  Online refits
         # change model *coefficients* without changing model *names*,
-        # so without the provider term the pipeline's weight and
-        # signature caches would keep serving pre-refit solutions.
+        # so without the provider term the pipeline's signature cache
+        # (which holds names) would keep pre-refit tables in place.
         return self._c._epoch + self._c._provider.epoch
 
     def pl_of(self, job_id: str) -> Optional[int]:
@@ -416,9 +416,10 @@ class SabaController:
         self._rebuild_hierarchy()
 
     def _rebuild_hierarchy(self) -> None:
-        # The epoch bump invalidates the pipeline's Eq. 2 cache and
-        # every port's programmed signature: centroid models changed,
-        # so cached solutions and signatures are stale.
+        # The epoch bump invalidates every port's programmed
+        # signature: the hierarchy changed, so the queue mapping must
+        # be re-derived.  The Eq. 2 weight cache stays valid, since it
+        # keys on per-application models, not on the clustering.
         self._epoch += 1
         if not self._pl_models:
             self._hierarchy = None
@@ -450,7 +451,8 @@ class SabaController:
 
         Cheap no-op when no registered application runs an affected
         workload: the provider's epoch bump alone invalidates the
-        pipeline caches for future passes.
+        pipeline's port signatures for future passes, and the refit
+        models are new weight-cache keys.
         """
         affected = set(workloads)
         pls = sorted({

@@ -20,7 +20,11 @@ frontends now share, factored into the stages the paper describes:
 4. **queue mapping** -- :meth:`PLHierarchy.best_clustering` over the
    active PL rows, honouring the reserved queue;
 5. **weight solve** -- Eq. 2 over the applications present, memoised
-   per multiset of model names;
+   on the solver's exact input: the name-sorted tuple of the
+   applications' :class:`~repro.core.sensitivity.SensitivityModel`
+   values.  A clustering change does not touch the cache (the models a
+   port solves over do not depend on it); a model refit is a new model
+   value, hence a new key;
 6. **programming** -- :class:`PortProgrammer` installs the PL-to-queue
    mapping and summed per-queue weights into the port's
    :class:`~repro.simnet.switch.QueueTable` and emits the
@@ -96,8 +100,9 @@ class AllocationView(Protocol):
     The centralized controller adapts its incremental clustering state
     to this protocol; the distributed design adapts its static mapping
     database.  ``epoch`` must change whenever PL membership, centroid
-    models, or the hierarchy change -- it keys both the Eq. 2 weight
-    cache and the per-port signature cache.
+    models, the hierarchy, or any answer of ``model_of`` change -- it
+    keys the per-port signature cache.  (The Eq. 2 weight cache keys on
+    the ``model_of`` values themselves.)
     """
 
     @property
@@ -295,8 +300,12 @@ class AllocationPipeline:
         self.stats = PipelineStats()
         self._port_context = port_context
         self._fabric: Optional[FluidFabric] = None
-        self._weight_cache: Dict[Tuple[str, ...], List[float]] = {}
-        self._cache_epoch: Optional[int] = None
+        #: Name-sorted models at a port -> their Eq. 2 weights.  Not
+        #: bounded: the most any measured run's pipeline holds is 775
+        #: (the Figure 10 co-run; DESIGN.md §5f lists the others).
+        self._weight_cache: Dict[
+            Tuple[SensitivityModel, ...], List[float]
+        ] = {}
         #: link_id -> (signature, generation written) of the last
         #: program/reset this pipeline performed at the port.
         self._signatures: Dict[str, Tuple[object, int]] = {}
@@ -321,13 +330,6 @@ class AllocationPipeline:
     def _sim_now(self) -> float:
         """Simulated timestamp for event records (0 when detached)."""
         return self._fabric.sim.now if self._fabric is not None else 0.0
-
-    def _sync_epoch(self) -> None:
-        """Lazily drop the Eq. 2 cache when the PL state changed."""
-        epoch = self._view.epoch
-        if epoch != self._cache_epoch:
-            self._weight_cache.clear()
-            self._cache_epoch = epoch
 
     # -- entry points -----------------------------------------------------------
 
@@ -406,7 +408,6 @@ class AllocationPipeline:
         event is emitted and rates are not invalidated -- this is a
         timing probe, not a control action.
         """
-        self._sync_epoch()
         t0 = time.perf_counter()
         for link_id in list(link_ids):
             self._reallocate_port(link_id, probe=True)
@@ -415,7 +416,6 @@ class AllocationPipeline:
     # -- the reallocation pass --------------------------------------------------
 
     def _run_pass(self, link_ids: Sequence[str]) -> None:
-        self._sync_epoch()
         self.stats.passes += 1
         t0 = time.perf_counter()
         changed = []
@@ -544,25 +544,27 @@ class AllocationPipeline:
         """Eq. 2 over the applications at one port.
 
         Datacenter workloads churn connections far faster than the set
-        of co-located applications changes, so the per-model-multiset
-        cache eliminates nearly all optimiser invocations in steady
-        state.  ``cached=False`` (the Figure 12 probe, which times raw
-        calculations) neither reads nor writes it."""
+        of co-located applications changes, so the cache eliminates
+        nearly all optimiser invocations in steady state.  Its key, the
+        name-sorted models, is the whole input of the solve (``c_saba``
+        is fixed and the floor depends only on the app count), so a hit
+        returns exactly what a fresh solve would.  ``cached=False`` (the
+        Figure 12 probe, which times raw calculations) neither reads
+        nor writes it."""
         models = [self._view.model_of(a) for a in apps]
         order = sorted(range(len(apps)), key=lambda i: models[i].name)
-        key = tuple(models[i].name for i in order)
+        key = tuple(models[i] for i in order)
         weights_sorted = self._weight_cache.get(key) if cached else None
         obs = self.observer
         prefix = self.metrics_prefix
         if weights_sorted is None:
             self.stats.optimizer_calls += 1
-            ordered_models = [models[i] for i in order]
             solve_stats: dict = {}
             if obs.enabled:
                 obs.emit(SOLVE_BEGIN, self._sim_now(), apps=len(apps))
             t0 = time.perf_counter()
             weights_sorted = optimize_weights(
-                ordered_models,
+                key,
                 total=self.c_saba,
                 min_weight=min(
                     DEFAULT_MIN_WEIGHT, self.c_saba / (2 * len(apps))
@@ -573,7 +575,7 @@ class AllocationPipeline:
                 elapsed = time.perf_counter() - t0
                 objective = sum(
                     m.predict(w)
-                    for m, w in zip(ordered_models, weights_sorted)
+                    for m, w in zip(key, weights_sorted)
                 )
                 obs.metrics.counter(f"{prefix}.solver_calls").inc()
                 obs.metrics.histogram(f"{prefix}.solve_seconds").observe(

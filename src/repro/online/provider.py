@@ -10,11 +10,13 @@ that lookup to be a policy, not a dictionary access.  A
 * ``epoch`` -- a monotonic revision that changes whenever any answer
   to ``model_of`` may have changed.
 
-``epoch`` is load-bearing: the allocation pipeline's weight and
-per-port signature caches are keyed on the controller view's epoch,
-and online refits change model *coefficients* without changing model
-*names* -- without the provider epoch folded in, a refit would be
-invisible to the caches and stale weights would keep being enforced.
+``epoch`` is load-bearing: the allocation pipeline's per-port
+signature cache is keyed on the controller view's epoch and on model
+*names*, and online refits change model *coefficients* without
+changing model names -- without the provider epoch folded in, a refit
+would be invisible to the signatures and stale weights would keep
+being enforced.  (The Eq. 2 weight cache keys on the model values, so
+a refit is a new key there by itself.)
 
 Three implementations:
 

@@ -1,11 +1,13 @@
 """Tests for the Eq. 2 weight optimiser."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AllocationError
 from repro.core.allocation import (
     AllocationProblem,
+    _ModelBatch,
     _solve_kkt,
     _solve_slsqp,
     equal_split,
@@ -211,3 +213,76 @@ def test_vectorised_kkt_matches_scalar_objective_at_scale():
     )
     slsqp = _solve("slsqp", models, min_weight=0.005)
     assert problem.objective(weights) <= problem.objective(slsqp) * 1.02
+
+
+@st.composite
+def _batch_point(draw):
+    """Models mixing both bases and degrees 1-3, with one point each
+    that may fall inside or outside the model's fit domain."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    models, points = [], []
+    for i in range(n):
+        degree = draw(st.integers(min_value=1, max_value=3))
+        coefficients = tuple(draw(st.lists(
+            st.floats(min_value=-5.0, max_value=5.0),
+            min_size=degree + 1, max_size=degree + 1,
+        )))
+        lo = draw(st.floats(min_value=0.01, max_value=0.5))
+        hi = draw(st.floats(min_value=lo + 0.01, max_value=1.0))
+        models.append(SensitivityModel(
+            name=f"m{i}", coefficients=coefficients, fit_domain=(lo, hi),
+            basis=draw(st.sampled_from(("inverse", "power"))),
+        ))
+        points.append(draw(st.one_of(
+            st.floats(min_value=lo, max_value=hi),
+            st.floats(min_value=1e-3, max_value=1.5),
+        )))
+    return models, points
+
+
+@given(_batch_point())
+@settings(max_examples=200, deadline=None)
+def test_batch_derivative_equals_scalar_derivative(case):
+    """The KKT solver's vectorised D' is the models' own, bit for bit."""
+    models, points = case
+    batch = _ModelBatch(models).derivative(np.array(points))
+    assert [float(d) for d in batch] == [
+        m.derivative(w) for m, w in zip(models, points)
+    ]
+
+
+#: ``test_kkt_handles_mixed_degrees``'s fitted pair, with the fit's
+#: coefficients written out so the instance does not depend on the
+#: machine's least-squares kernels.
+MIXED_DEGREES = [
+    SensitivityModel(
+        name="low", coefficients=(0.4999999999999994, 0.5000000000000002),
+    ),
+    SensitivityModel(name="high", coefficients=(
+        0.20000000000046497, 0.8000000000000206,
+        3.9689650451118243e-16, -7.82998370114651e-17,
+    )),
+]
+#: D = 4 - 5b + 2b^2 on the power basis: convex and decreasing on the
+#: box, mixed with the two inverse-basis ``CONVEX`` models.
+POWER_MIX = [
+    SensitivityModel(
+        name="bowl", coefficients=(4.0, -5.0, 2.0), basis="power",
+    ),
+    *CONVEX,
+]
+
+
+@pytest.mark.parametrize("models, expected", [
+    (CONVEX, [0.6202041041586864, 0.37979589584131357]),
+    (MIXED_DEGREES, [0.4415184413373402, 0.5584815586626598]),
+    (POWER_MIX, [0.27116940499803477, 0.4520237255152426,
+                 0.27680686948672256]),
+], ids=["convex", "mixed-degrees", "power-mix"])
+def test_kkt_weights_are_pinned(models, expected):
+    """Exact KKT weights: speeding the solver up must not move them."""
+    stats = {}
+    assert _solve_kkt(AllocationProblem(models=tuple(models)), stats) == (
+        expected
+    )
+    assert stats["solver"] == "kkt"

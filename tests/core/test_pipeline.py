@@ -11,6 +11,7 @@ import pytest
 from repro.errors import RegistrationError
 from repro.core.controller import SabaController
 from repro.core.distributed import DistributedControllerGroup, MappingDatabase
+from repro.core.sensitivity import SensitivityModel
 from repro.obs import Observer
 from repro.obs import events as ev
 from repro.simnet.fabric import FluidFabric
@@ -94,18 +95,98 @@ def test_hierarchy_epoch_invalidates_signature(small_table):
     controller = SabaController(small_table)
     _attach(controller)
     controller.app_register("a", "LR")
+    controller.app_register("c", "PR")
     path = [_nic(0)]
     controller.conn_create("a", path)
+    controller.conn_create("c", path)
     stats = controller.pipeline.stats
     controller.conn_create("a", path)
     assert stats.signature_skips == 1
     programs = stats.programs
-    # Registering a new workload rebuilds the PL hierarchy: port "a"
-    # sits on has the same app multiset, but the clustering input
-    # changed, so the stale signature must not be trusted.
+    calls = stats.optimizer_calls
+    # Registering a new workload rebuilds the PL hierarchy: the port
+    # "a" and "c" sit on has the same app multiset, but the clustering
+    # input changed, so the stale signature must not be trusted.
     controller.app_register("b", "Sort")
     controller.conn_create("a", path)
     assert stats.programs > programs
+    # The models at the port did not change, so the reprogrammed port
+    # reuses the Eq. 2 solution instead of solving again.
+    assert stats.optimizer_calls == calls
+
+
+class _RefittingProvider:
+    """Offline models until :meth:`refit` swaps one workload's model
+    for new coefficients under the same name, as an online refit
+    does."""
+
+    def __init__(self, table):
+        self.table = table
+        self.epoch = 0
+        self.refits = {}
+
+    def has_model(self, workload):
+        return workload in self.table
+
+    def model_of(self, workload):
+        return self.refits.get(workload) or self.table.get(workload)
+
+    def refit(self, workload, coefficients):
+        old = self.table.get(workload)
+        self.refits[workload] = SensitivityModel(
+            name=old.name, coefficients=coefficients,
+            fit_domain=old.fit_domain, basis=old.basis,
+        )
+        self.epoch += 1
+
+
+def test_same_name_refit_misses_the_weight_cache(small_table):
+    provider = _RefittingProvider(small_table)
+    controller = SabaController(small_table, model_provider=provider)
+    fabric = _attach(controller)
+    controller.app_register("a", "LR")
+    controller.app_register("b", "Sort")
+    path = [_nic(0)]
+    controller.conn_create("a", path)
+    controller.conn_create("b", path)
+    qtable = fabric.topology.port_table(_nic(0))
+    weights = qtable.snapshot()["weights"]
+    stats = controller.pipeline.stats
+    calls = stats.optimizer_calls
+    # A refit finds LR barely network-sensitive; its model keeps its
+    # name.
+    provider.refit("LR", (0.95, 0.05))
+    controller.pipeline.reallocate(path)
+    assert stats.optimizer_calls == calls + 1
+    assert qtable.snapshot()["weights"] != weights
+
+
+def test_fig10_co_run_solves_each_instance_once():
+    """The golden recipe's reduced Figure 10 Saba co-run: its
+    (de)registrations rebuild the PL hierarchy many times, but every
+    Eq. 2 instance is solved once and then served from the cache."""
+    from repro.experiments.common import build_scenario, make_policy
+    from repro.experiments.fig10_fig11 import (
+        SIM_COLLAPSE_ALPHA, build_simulation, profile_synthetic,
+        sim_scenario_spec,
+    )
+
+    tiny = dict(n_spine=2, n_leaf=3, n_tor=4, servers_per_tor=4)
+    _, make_jobs, specs = build_simulation(
+        n_workloads=6, topology_kwargs=tiny, seed=11,
+    )
+    setup = make_policy(
+        "saba", table=profile_synthetic(specs),
+        collapse_alpha=SIM_COLLAPSE_ALPHA,
+    )
+    scenario = build_scenario(
+        sim_scenario_spec("saba", topology_kwargs=tiny), setup=setup,
+    )
+    results = scenario.run(make_jobs())
+    assert len(results) == 6
+    pipeline = setup.pipeline
+    assert pipeline.stats.optimizer_calls == len(pipeline._weight_cache)
+    assert pipeline.stats.solver_cache_hits > 0
 
 
 def test_external_reprogram_invalidates_signature(small_table):
