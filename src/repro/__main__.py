@@ -36,8 +36,10 @@ def add_sweep_args(
 
     Every harness that fans out through :class:`repro.sweep.SweepRunner`
     (``sweep``, ``faults``, ``online``, ``service``, ``storm``) takes
-    the same runner knobs; registering them here keeps flag names,
-    defaults, and help text identical across subcommands.
+    the same runner knobs -- worker count, cache, narration;
+    registering them here keeps flag names, defaults, and help text
+    identical across subcommands.  Tasks are deterministic, so each
+    runs once and the first failure stops the run.
     """
     parser.add_argument("--jobs", default=jobs_default,
                         help="worker processes, or 'auto' "
@@ -47,22 +49,14 @@ def add_sweep_args(
                              "$REPRO_SWEEP_CACHE_DIR, else memory-only)")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every task")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-task wall-clock limit in seconds "
-                             "(enforced with --jobs >= 2)")
-    parser.add_argument("--retries", type=int, default=3,
-                        help="max attempts per task (default 3)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress narration")
 
 
 def runner_from_args(args):
     """Build the :class:`~repro.sweep.SweepRunner` the shared flags
-    describe.  ``error_policy`` is honoured when the subparser defines
-    it (only ``sweep`` exposes the collect mode)."""
-    from repro.sweep import (
-        RetryPolicy, SweepCache, SweepRunner, default_cache,
-    )
+    describe."""
+    from repro.sweep import SweepCache, SweepRunner, default_cache
 
     if args.no_cache:
         cache = None
@@ -73,9 +67,6 @@ def runner_from_args(args):
     return SweepRunner(
         jobs=args.jobs,
         cache=cache,
-        timeout=args.timeout,
-        retry=RetryPolicy(max_attempts=args.retries),
-        error_policy=getattr(args, "error_policy", "fail-fast"),
         progress=None if args.quiet else (
             lambda msg: print(msg, file=sys.stderr)
         ),
@@ -226,6 +217,9 @@ def _sweep(args) -> None:
         _emit(args, dumps(payload), [
             (payload["identical_results"],
              "serial and parallel tables differ"),
+            (payload["jobs"] > 1,
+             "the parallel run resolved to 1 worker, so it compared two "
+             "serial runs; pass --jobs 2 or more"),
         ])
         return
 
@@ -257,14 +251,6 @@ def _experiment(args) -> None:
         result = runner.run(experiment.build(vars(args)))
     except SweepError as exc:
         raise SystemExit(f"error: {exc}")
-    if result.failures:
-        for outcome in result.failures:
-            print(f"FAILED {outcome.name}: {outcome.error}",
-                  file=sys.stderr)
-        raise SystemExit(
-            f"error: {len(result.failures)} task(s) failed; "
-            "no result to render"
-        )
     if getattr(args, "manifest", None):
         with open(args.manifest, "w") as handle:
             json.dump(result.manifest.to_dict(), handle, indent=2,
@@ -468,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="experiment name, 'list', or 'bench'",
             )
             add_sweep_args(p)
-            p.add_argument("--error-policy", default="fail-fast",
-                           choices=["fail-fast", "collect"])
             p.add_argument("--manifest", default=None,
                            help="write the run manifest JSON here")
             p.add_argument("--setups", type=int, default=None,

@@ -42,7 +42,7 @@ class ClusteringError(ReproError):
 
 
 class SweepError(ReproError):
-    """A sweep was misconfigured or a task failed under fail-fast."""
+    """A sweep was misconfigured or one of its tasks failed."""
 
 
 class FaultError(ReproError):

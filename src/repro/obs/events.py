@@ -79,7 +79,6 @@ SWEEP_STARTED = "sweep.started"
 SWEEP_FINISHED = "sweep.finished"
 SWEEP_TASK_STARTED = "sweep.task_started"
 SWEEP_TASK_FINISHED = "sweep.task_finished"
-SWEEP_TASK_RETRIED = "sweep.task_retried"
 SWEEP_TASK_FAILED = "sweep.task_failed"
 SWEEP_CACHE_HIT = "sweep.cache_hit"
 
@@ -100,7 +99,7 @@ EVENT_TYPES = frozenset({
     STORM_STARTED, STORM_FINISHED, STORM_FLASH_CROWD, STORM_VIOLATION,
     JOB_STARTED, JOB_FINISHED, STAGE_STARTED, STAGE_FINISHED,
     SWEEP_STARTED, SWEEP_FINISHED, SWEEP_TASK_STARTED,
-    SWEEP_TASK_FINISHED, SWEEP_TASK_RETRIED, SWEEP_TASK_FAILED,
+    SWEEP_TASK_FINISHED, SWEEP_TASK_FAILED,
     SWEEP_CACHE_HIT,
 })
 

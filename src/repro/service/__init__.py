@@ -8,7 +8,6 @@ link failures and recoveries.  See ``DESIGN.md`` §5h and
 ``python -m repro service`` for the measured experiment.
 """
 
-from repro.service.frontend import ServiceFrontend
 from repro.service.quotas import (
     DEFAULT_TENANT,
     UNLIMITED,
@@ -26,7 +25,6 @@ __all__ = [
     "DEFAULT_TENANT",
     "SERVICE_ENDPOINT",
     "ServiceConnections",
-    "ServiceFrontend",
     "ServiceQuotas",
     "UNLIMITED",
     "tenant_of",

@@ -36,10 +36,9 @@ def tenant_of(app_id: str) -> str:
 class ServiceQuotas:
     """Per-tenant admission limits (``None`` = unlimited).
 
-    ``max_queue_depth`` bounds the request queue: the synchronous
-    service counts same-sim-instant request bursts against it (a
-    deterministic stand-in for wall-clock queueing), and the asyncio
-    front-end uses it as the literal ``asyncio.Queue`` size.
+    ``max_queue_depth`` bounds the request queue: the service counts
+    same-sim-instant request bursts against it (a deterministic
+    stand-in for wall-clock queueing) and sheds what overflows.
     """
 
     max_apps_per_tenant: Optional[int] = None

@@ -98,7 +98,7 @@ class AllocationService:
         self._open_conns_of_tenant: Dict[str, int] = {}
         self._app_of_flow: Dict[int, str] = {}
         #: Same-instant request burst (deterministic queue-depth
-        #: stand-in; the asyncio front-end uses a real queue).
+        #: stand-in).
         self._burst_instant: Optional[float] = None
         self._burst = 0
         self.max_burst = 0

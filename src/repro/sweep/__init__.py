@@ -1,4 +1,4 @@
-"""Parallel experiment orchestration with caching and fault tolerance.
+"""Parallel experiment orchestration with caching.
 
 The paper's evaluation is a pile of embarrassingly-parallel grids --
 the profiler's (workload x bandwidth-fraction) matrix (Section 4.1),
@@ -14,9 +14,10 @@ produce bit-identical tables.
 * :mod:`repro.sweep.cache` -- :class:`SweepCache`, keyed by (task
   name, config hash, code version from :mod:`repro._version`).
 * :mod:`repro.sweep.runner` -- :class:`SweepRunner`: process-pool
-  fan-out, serial fallback, per-task timeout, bounded retry with
-  backoff, fail-fast vs collect error policies, :mod:`repro.obs`
-  events/metrics/manifests, progress narration.
+  fan-out, serial fallback, each task run once with the first failure
+  stopping the sweep (tasks are deterministic, so a retry would fail
+  the same way), :mod:`repro.obs` events/metrics/manifests, progress
+  narration.
 * :mod:`repro.sweep.registry` -- the named experiments behind
   ``python -m repro sweep <experiment>``.
 
@@ -37,28 +38,17 @@ Typical use::
 
 from repro.errors import SweepError
 from repro.sweep.cache import CACHE_DIR_ENV, SweepCache, cache_key, default_cache
-from repro.sweep.runner import (
-    ERROR_POLICIES,
-    RetryPolicy,
-    SweepResult,
-    SweepRunner,
-    TaskOutcome,
-    default_runner,
-    resolve_jobs,
-)
+from repro.sweep.runner import SweepResult, SweepRunner, default_runner, resolve_jobs
 from repro.sweep.task import SweepSpec, Task, config_hash, derive_seed
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "ERROR_POLICIES",
-    "RetryPolicy",
     "SweepCache",
     "SweepError",
     "SweepResult",
     "SweepRunner",
     "SweepSpec",
     "Task",
-    "TaskOutcome",
     "cache_key",
     "config_hash",
     "default_cache",

@@ -1,21 +1,19 @@
-"""Fault-tolerant parallel execution of sweep specs.
+"""Parallel execution of sweep specs.
 
 :class:`SweepRunner` drives a :class:`~repro.sweep.task.SweepSpec`
-through four stages:
+through three stages:
 
 1. **cache resolution** -- every task's content address
    (:func:`repro.sweep.cache.cache_key`) is probed first, so a warm
    re-run computes nothing;
-2. **execution** -- remaining tasks fan out over a
-   ``concurrent.futures.ProcessPoolExecutor`` (``jobs >= 2``) or run
+2. **execution** -- each remaining task runs exactly once, over a
+   ``concurrent.futures.ProcessPoolExecutor`` (``jobs >= 2``) or
    in-process (``jobs == 1``, the debuggable serial path: no
-   subprocesses, breakpoints and coverage work);
-3. **fault handling** -- per-task wall-clock timeout (parallel mode
-   only: a timeout needs process isolation to be safe), bounded retry
-   with exponential backoff, and an error policy: ``"fail-fast"``
-   aborts the sweep on the first exhausted task, ``"collect"`` records
-   the failure and keeps the other points alive;
-4. **ordered reduction** -- results are assembled in *spec order*
+   subprocesses, breakpoints and coverage work).  Tasks are
+   deterministic, so a failed task would fail again: the first
+   failure stops the sweep with a :class:`~repro.errors.SweepError`
+   naming the task and its exception;
+3. **ordered reduction** -- results are assembled in *spec order*
    regardless of completion order and handed to ``spec.reduce``, which
    is what makes ``--jobs 1`` and ``--jobs N`` bit-identical.
 
@@ -29,9 +27,10 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import SweepError
 from repro.obs import NULL_OBSERVER, Observer, RunManifest
@@ -41,17 +40,10 @@ from repro.obs.events import (
     SWEEP_STARTED,
     SWEEP_TASK_FAILED,
     SWEEP_TASK_FINISHED,
-    SWEEP_TASK_RETRIED,
     SWEEP_TASK_STARTED,
 )
 from repro.sweep.cache import SweepCache, cache_key
 from repro.sweep.task import SweepSpec, Task
-
-ERROR_POLICIES = ("fail-fast", "collect")
-
-#: How long the parallel scheduler sleeps between bookkeeping passes
-#: when it has to poll (pending backoffs or armed timeouts).
-_TICK_SECONDS = 0.02
 
 
 def resolve_jobs(jobs: Union[int, str, None]) -> int:
@@ -64,69 +56,16 @@ def resolve_jobs(jobs: Union[int, str, None]) -> int:
     return jobs
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff.
-
-    ``max_attempts`` counts executions, so ``1`` disables retries.
-    The delay before attempt ``n+1`` is ``backoff * factor ** (n-1)``.
-    """
-
-    max_attempts: int = 3
-    backoff: float = 0.1
-    factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise SweepError("max_attempts must be >= 1")
-        if self.backoff < 0 or self.factor < 1.0:
-            raise SweepError("backoff must be >= 0 and factor >= 1")
-
-    def delay(self, failed_attempt: int) -> float:
-        return self.backoff * self.factor ** (failed_attempt - 1)
-
-
-@dataclass
-class TaskOutcome:
-    """What happened to one task."""
-
-    name: str
-    value: Any = None
-    error: Optional[str] = None
-    attempts: int = 0
-    duration: float = 0.0
-    cached: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
 @dataclass
 class SweepResult:
-    """Everything a sweep produced.
-
-    ``value`` is the reduction's output; it is ``None`` when any task
-    failed under the ``collect`` policy (a partial grid rarely reduces
-    meaningfully -- inspect ``outcomes`` instead).
-    """
+    """Everything a sweep produced; ``value`` is the reduction's output."""
 
     spec_name: str
     value: Any
-    outcomes: Dict[str, TaskOutcome]
     wall_seconds: float
     manifest: RunManifest
     cache_hits: int = 0
     computed: int = 0
-    retries: int = 0
-
-    @property
-    def failures(self) -> List[TaskOutcome]:
-        return [o for o in self.outcomes.values() if not o.ok]
-
-    def values(self) -> Dict[str, Any]:
-        """Successful task values, in spec order."""
-        return {n: o.value for n, o in self.outcomes.items() if o.ok}
 
 
 def _execute_task(task: Task) -> Tuple[Any, float]:
@@ -140,34 +79,19 @@ def _execute_task(task: Task) -> Tuple[Any, float]:
     return value, time.perf_counter() - t0
 
 
-@dataclass
-class _Attempt:
-    """Scheduler bookkeeping for one not-yet-settled task."""
-
-    task: Task
-    key: str
-    attempts: int = 0
-    not_before: float = 0.0   # monotonic instant the next attempt may start
-    deadline: float = 0.0     # monotonic timeout for the in-flight attempt
-    spent: float = 0.0        # execution seconds across attempts
+#: A finished task's outcome: returns ``(value, duration)`` or raises
+#: the task's exception.
+_Outcome = Callable[[], Tuple[Any, float]]
 
 
 class SweepRunner:
-    """Run sweep specs with caching, parallelism, and fault tolerance.
+    """Run sweep specs with caching and parallelism.
 
     Args:
         jobs: worker processes; ``1`` (default) runs serially
             in-process, ``"auto"`` uses the CPU count.
         cache: a :class:`SweepCache`, or ``None`` to recompute every
             task (the ``--no-cache`` path).
-        timeout: per-task wall-clock limit in seconds.  Enforced in
-            parallel mode only; the serial path cannot pre-empt a
-            running task and says so through the narrator.
-        retry: :class:`RetryPolicy`; failures and timeouts both count.
-        error_policy: ``"fail-fast"`` (default) raises
-            :class:`SweepError` on the first task that exhausts its
-            retries; ``"collect"`` records the failure and finishes
-            the rest of the grid.
         observer: :class:`repro.obs.Observer` receiving ``sweep.*``
             events and metrics (default: disabled).
         progress: optional ``callable(str)`` narrating the run.
@@ -177,93 +101,77 @@ class SweepRunner:
         self,
         jobs: Union[int, str] = 1,
         cache: Optional[SweepCache] = None,
-        timeout: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
-        error_policy: str = "fail-fast",
         observer: Optional[Observer] = None,
         progress: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        if timeout is not None and timeout <= 0:
-            raise SweepError(f"timeout must be > 0, got {timeout}")
-        self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy()
-        if error_policy not in ERROR_POLICIES:
-            raise SweepError(
-                f"unknown error policy {error_policy!r}; use one of "
-                f"{ERROR_POLICIES}"
-            )
-        self.error_policy = error_policy
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.progress = progress
 
-    # -- public API ---------------------------------------------------------
-
     def run(self, spec: SweepSpec) -> SweepResult:
-        """Execute ``spec`` and reduce its results."""
+        """Execute ``spec`` and reduce its results.
+
+        Raises :class:`SweepError` on the first task that fails, after
+        cancelling the tasks no worker has taken yet and waiting for
+        the rest, so no task of this sweep outlives the call.
+        """
         t0 = time.perf_counter()
         obs = self.observer
-        outcomes: Dict[str, TaskOutcome] = {
-            t.name: TaskOutcome(name=t.name) for t in spec.tasks
-        }
         if obs.enabled:
             obs.emit(SWEEP_STARTED, 0.0, sweep=spec.name,
                      tasks=len(spec.tasks), jobs=self.jobs,
                      cached_run=self.cache is not None)
 
-        to_compute: List[_Attempt] = []
-        hits = 0
+        values: Dict[str, Any] = {}
+        pending: List[Tuple[Task, str]] = []
         for task in spec.tasks:
             key = cache_key(task)
             if self.cache is not None:
                 hit, value = self.cache.get(key)
                 if hit:
-                    out = outcomes[task.name]
-                    out.value, out.cached = value, True
-                    hits += 1
+                    values[task.name] = value
                     if obs.enabled:
                         obs.metrics.counter("sweep.cache_hits").inc()
                         obs.emit(SWEEP_CACHE_HIT,
                                  time.perf_counter() - t0,
                                  sweep=spec.name, task=task.name)
                     continue
-            to_compute.append(_Attempt(task=task, key=key))
+            pending.append((task, key))
+        hits = len(values)
 
         self._narrate(
             f"sweep {spec.name}: {len(spec.tasks)} tasks "
-            f"({hits} cached, {len(to_compute)} to compute), "
+            f"({hits} cached, {len(pending)} to compute), "
             f"jobs={self.jobs}"
         )
-        if self.timeout is not None and self.jobs == 1 and to_compute:
-            self._narrate(
-                "sweep: note: --timeout is not enforced on the serial "
-                "path (needs process isolation); use --jobs >= 2"
-            )
 
-        retries = 0
-        if to_compute:
-            if self.jobs == 1:
-                retries = self._run_serial(spec, to_compute, outcomes, t0)
-            else:
-                retries = self._run_parallel(spec, to_compute, outcomes, t0)
+        pool = (
+            ProcessPoolExecutor(max_workers=self.jobs)
+            if self.jobs > 1 and pending else None
+        )
+        try:
+            for done, (task, key, outcome) in enumerate(
+                self._execute(spec, pending, pool, t0), 1
+            ):
+                values[task.name], duration = self._settle(
+                    spec, task, key, outcome, t0
+                )
+                self._narrate(
+                    f"[{done}/{len(pending)}] {task.name} "
+                    f"ok in {duration:.2f}s"
+                )
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
         wall = time.perf_counter() - t0
-        computed = sum(
-            1 for o in outcomes.values() if o.ok and not o.cached
-        )
-        failed = [o for o in outcomes.values() if not o.ok]
-        value = None
-        if not failed:
-            results = {t.name: outcomes[t.name].value for t in spec.tasks}
-            value = spec.reduce(results) if spec.reduce else results
-
+        results = {t.name: values[t.name] for t in spec.tasks}
+        value = spec.reduce(results) if spec.reduce else results
+        computed = len(pending)
         manifest = RunManifest(
             name=f"sweep:{spec.name}",
             config=dict(spec.config, jobs=self.jobs,
-                        error_policy=self.error_policy,
-                        timeout=self.timeout,
-                        retry_max_attempts=self.retry.max_attempts,
                         cache="on" if self.cache is not None else "off"),
             created_unix=time.time(),
             wall_seconds=wall,
@@ -271,250 +179,88 @@ class SweepRunner:
                 "tasks": len(spec.tasks),
                 "cache_hits": hits,
                 "computed": computed,
-                "failed": len(failed),
-                "retries": retries,
                 "task_names": list(spec.task_names()),
             },
         )
         if obs.enabled:
             obs.emit(SWEEP_FINISHED, wall, sweep=spec.name,
-                     computed=computed, cache_hits=hits,
-                     failed=len(failed), retries=retries, duration=wall)
+                     computed=computed, cache_hits=hits, duration=wall)
         self._narrate(
             f"sweep {spec.name}: done in {wall:.2f}s "
-            f"({computed} computed, {hits} cached, {len(failed)} failed)"
+            f"({computed} computed, {hits} cached)"
         )
         return SweepResult(
-            spec_name=spec.name, value=value, outcomes=outcomes,
-            wall_seconds=wall, manifest=manifest, cache_hits=hits,
-            computed=computed, retries=retries,
+            spec_name=spec.name, value=value, wall_seconds=wall,
+            manifest=manifest, cache_hits=hits, computed=computed,
         )
 
-    # -- serial path --------------------------------------------------------
-
-    def _run_serial(
+    def _execute(
         self,
         spec: SweepSpec,
-        attempts: List[_Attempt],
-        outcomes: Dict[str, TaskOutcome],
+        pending: List[Tuple[Task, str]],
+        pool: Optional[ProcessPoolExecutor],
         t0: float,
-    ) -> int:
-        retries = 0
-        done = 0
-        for entry in attempts:
-            while True:
-                entry.attempts += 1
-                if self.observer.enabled:
-                    self.observer.emit(
-                        SWEEP_TASK_STARTED, time.perf_counter() - t0,
-                        sweep=spec.name, task=entry.task.name,
-                        attempt=entry.attempts,
-                    )
-                try:
-                    value, duration = _execute_task(entry.task)
-                except Exception as exc:  # noqa: BLE001 -- task code is foreign
-                    retries += self._handle_failure(
-                        spec, entry, f"{type(exc).__name__}: {exc}",
-                        outcomes, t0,
-                    )
-                    if outcomes[entry.task.name].error is not None:
-                        break  # exhausted under collect
-                    time.sleep(self.retry.delay(entry.attempts))
-                    continue
-                entry.spent += duration
-                done += 1
-                self._settle_success(spec, entry, value, duration,
-                                     outcomes, t0)
-                self._narrate(
-                    f"[{done}/{len(attempts)}] {entry.task.name} "
-                    f"ok in {duration:.2f}s"
-                )
-                break
-        return retries
+    ) -> Iterator[Tuple[Task, str, _Outcome]]:
+        """Start each pending task once; yield ``(task, key, outcome)``.
 
-    # -- parallel path ------------------------------------------------------
+        Without a pool, tasks run in-process in spec order, each when
+        its outcome is called; with one, they are all submitted up
+        front and yielded in completion order.
+        """
+        if pool is None:
+            for task, key in pending:
+                self._emit_started(spec, task, t0)
+                yield task, key, partial(_execute_task, task)
+            return
+        futures = {}
+        for task, key in pending:
+            self._emit_started(spec, task, t0)
+            futures[pool.submit(_execute_task, task)] = (task, key)
+        for future in as_completed(futures):
+            task, key = futures[future]
+            yield task, key, future.result
 
-    def _run_parallel(
+    def _emit_started(self, spec: SweepSpec, task: Task, t0: float) -> None:
+        if self.observer.enabled:
+            self.observer.emit(SWEEP_TASK_STARTED, time.perf_counter() - t0,
+                               sweep=spec.name, task=task.name)
+
+    def _settle(
         self,
         spec: SweepSpec,
-        attempts: List[_Attempt],
-        outcomes: Dict[str, TaskOutcome],
+        task: Task,
+        key: str,
+        outcome: _Outcome,
         t0: float,
-    ) -> int:
-        retries = 0
-        done = 0
-        total = len(attempts)
-        pending: List[_Attempt] = list(attempts)
-        in_flight: Dict[Future, _Attempt] = {}
-        abandoned: List[Future] = []
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
+    ) -> Tuple[Any, float]:
+        """Cache and report one finished task; raise if it failed."""
+        obs = self.observer
         try:
-            while pending or in_flight:
-                now = time.monotonic()
-                # Launch every due attempt; the pool queues beyond
-                # its worker count, so there is no submit cap.
-                still_waiting: List[_Attempt] = []
-                for entry in pending:
-                    if entry.not_before <= now:
-                        entry.attempts += 1
-                        entry.deadline = (
-                            now + self.timeout
-                            if self.timeout is not None else float("inf")
-                        )
-                        if self.observer.enabled:
-                            self.observer.emit(
-                                SWEEP_TASK_STARTED,
-                                time.perf_counter() - t0,
-                                sweep=spec.name, task=entry.task.name,
-                                attempt=entry.attempts,
-                            )
-                        future = pool.submit(_execute_task, entry.task)
-                        in_flight[future] = entry
-                    else:
-                        still_waiting.append(entry)
-                pending = still_waiting
-
-                if not in_flight:
-                    time.sleep(_TICK_SECONDS)
-                    continue
-
-                wait_timeout: Optional[float] = None
-                if self.timeout is not None or pending:
-                    wait_timeout = _TICK_SECONDS
-                finished, _ = wait(set(in_flight), timeout=wait_timeout,
-                                   return_when=FIRST_COMPLETED)
-
-                for future in finished:
-                    entry = in_flight.pop(future)
-                    error = None
-                    try:
-                        value, duration = future.result()
-                    except Exception as exc:  # noqa: BLE001
-                        error = f"{type(exc).__name__}: {exc}"
-                    if error is None:
-                        entry.spent += duration
-                        done += 1
-                        self._settle_success(spec, entry, value, duration,
-                                             outcomes, t0)
-                        self._narrate(
-                            f"[{done}/{total}] {entry.task.name} "
-                            f"ok in {duration:.2f}s"
-                        )
-                        continue
-                    retries += self._handle_failure(spec, entry, error,
-                                                    outcomes, t0)
-                    if outcomes[entry.task.name].error is None:
-                        entry.not_before = (
-                            time.monotonic()
-                            + self.retry.delay(entry.attempts)
-                        )
-                        pending.append(entry)
-                    else:
-                        done += 1
-
-                # Timed-out attempts: give up waiting.  cancel() only
-                # helps if the task is still queued; a running worker
-                # keeps its slot until it returns, but the sweep moves
-                # on -- that is the whole point of the timeout.
-                now = time.monotonic()
-                for future, entry in list(in_flight.items()):
-                    if entry.deadline <= now:
-                        future.cancel()
-                        del in_flight[future]
-                        abandoned.append(future)
-                        retries += self._handle_failure(
-                            spec, entry,
-                            f"timeout: exceeded {self.timeout:.3g}s",
-                            outcomes, t0,
-                        )
-                        if outcomes[entry.task.name].error is None:
-                            entry.not_before = (
-                                now + self.retry.delay(entry.attempts)
-                            )
-                            pending.append(entry)
-                        else:
-                            done += 1
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return retries
-
-    # -- shared bookkeeping -------------------------------------------------
-
-    def _settle_success(
-        self,
-        spec: SweepSpec,
-        entry: _Attempt,
-        value: Any,
-        duration: float,
-        outcomes: Dict[str, TaskOutcome],
-        t0: float,
-    ) -> None:
-        out = outcomes[entry.task.name]
-        out.value = value
-        out.attempts = entry.attempts
-        out.duration = entry.spent
+            value, duration = outcome()
+        except Exception as exc:  # noqa: BLE001 -- task code is foreign
+            error = f"{type(exc).__name__}: {exc}"
+            if obs.enabled:
+                obs.metrics.counter("sweep.task_failures").inc()
+                obs.emit(SWEEP_TASK_FAILED, time.perf_counter() - t0,
+                         sweep=spec.name, task=task.name, error=error)
+            raise SweepError(
+                f"sweep {spec.name}: task {task.name!r} failed: {error}"
+            ) from exc
         if self.cache is not None:
-            self.cache.put(entry.key, value, meta={
-                "task": entry.task.name,
+            self.cache.put(key, value, meta={
+                "task": task.name,
                 "sweep": spec.name,
-                "fn": f"{entry.task.fn.__module__}."
-                      f"{entry.task.fn.__qualname__}",
-                "seed": entry.task.seed,
+                "fn": f"{task.fn.__module__}.{task.fn.__qualname__}",
+                "seed": task.seed,
                 "duration": duration,
                 "created_unix": time.time(),
             })
-        obs = self.observer
         if obs.enabled:
             obs.metrics.counter("sweep.tasks_computed").inc()
             obs.metrics.histogram("sweep.task_seconds").observe(duration)
             obs.emit(SWEEP_TASK_FINISHED, time.perf_counter() - t0,
-                     sweep=spec.name, task=entry.task.name,
-                     attempt=entry.attempts, duration=duration)
-
-    def _handle_failure(
-        self,
-        spec: SweepSpec,
-        entry: _Attempt,
-        error: str,
-        outcomes: Dict[str, TaskOutcome],
-        t0: float,
-    ) -> int:
-        """Record one failed attempt; returns 1 if it will be retried.
-
-        On exhaustion: raises under ``fail-fast``, marks the outcome
-        failed under ``collect``.
-        """
-        obs = self.observer
-        if entry.attempts < self.retry.max_attempts:
-            if obs.enabled:
-                obs.metrics.counter("sweep.retries").inc()
-                obs.emit(SWEEP_TASK_RETRIED, time.perf_counter() - t0,
-                         sweep=spec.name, task=entry.task.name,
-                         attempt=entry.attempts, error=error)
-            self._narrate(
-                f"{entry.task.name}: attempt {entry.attempts}/"
-                f"{self.retry.max_attempts} failed ({error}); retrying"
-            )
-            return 1
-        if obs.enabled:
-            obs.metrics.counter("sweep.task_failures").inc()
-            obs.emit(SWEEP_TASK_FAILED, time.perf_counter() - t0,
-                     sweep=spec.name, task=entry.task.name,
-                     attempts=entry.attempts, error=error)
-        if self.error_policy == "fail-fast":
-            raise SweepError(
-                f"sweep {spec.name}: task {entry.task.name!r} failed "
-                f"after {entry.attempts} attempt(s): {error}"
-            )
-        out = outcomes[entry.task.name]
-        out.error = error
-        out.attempts = entry.attempts
-        out.duration = entry.spent
-        self._narrate(
-            f"{entry.task.name}: giving up after {entry.attempts} "
-            f"attempt(s): {error}"
-        )
-        return 0
+                     sweep=spec.name, task=task.name, duration=duration)
+        return value, duration
 
     def _narrate(self, message: str) -> None:
         if self.progress is not None:

@@ -1,4 +1,4 @@
-"""SweepRunner: parallelism, caching, retries, timeouts, policies."""
+"""SweepRunner: parallelism, caching, fail-fast on the first failure."""
 
 from __future__ import annotations
 
@@ -7,19 +7,10 @@ import pytest
 from repro.core.profiler import OfflineProfiler
 from repro.errors import SweepError
 from repro.obs import Observer
-from repro.sweep import (
-    RetryPolicy,
-    SweepCache,
-    SweepRunner,
-    SweepSpec,
-    Task,
-    resolve_jobs,
-)
+from repro.sweep import SweepCache, SweepRunner, SweepSpec, Task, resolve_jobs
 from repro.workloads.catalog import CATALOG
 
-from tests.sweep.workers import add, boom, flaky, sleeper, square
-
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff=0.0)
+from tests.sweep.workers import flaky, sleeper, square
 
 
 def square_spec(n=4, name="squares"):
@@ -130,23 +121,11 @@ def test_version_bump_invalidates_cached_run(monkeypatch):
     assert rerun.cache_hits == 0 and rerun.computed == len(spec)
 
 
-def test_retry_then_succeed_serial(tmp_path):
-    counter = tmp_path / "calls"
-    spec = SweepSpec(
-        name="flaky",
-        tasks=(
-            Task(name="flaky", fn=flaky,
-                 params={"counter_path": str(counter), "fail_times": 2,
-                         "value": "ok"}),
-        ),
-    )
-    result = SweepRunner(jobs=1, retry=FAST_RETRY).run(spec)
-    assert result.value == {"flaky": "ok"}
-    assert result.outcomes["flaky"].attempts == 3
-    assert result.retries == 2
-
-
-def test_retry_then_succeed_parallel(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_task_runs_once_and_stops_the_sweep(tmp_path, jobs):
+    # Tasks are deterministic, so a failed task is not re-run: one
+    # failure is the sweep's error, even for a task that would have
+    # succeeded on a second call.
     counter = tmp_path / "calls"
     spec = SweepSpec(
         name="flaky",
@@ -154,64 +133,17 @@ def test_retry_then_succeed_parallel(tmp_path):
             Task(name="flaky", fn=flaky,
                  params={"counter_path": str(counter), "fail_times": 1,
                          "value": "ok"}),
-            Task(name="steady", fn=add, params={"x": 1, "y": 2}),
         ),
     )
-    result = SweepRunner(jobs=2, retry=FAST_RETRY).run(spec)
-    assert result.value == {"flaky": "ok", "steady": 3}
-    assert result.outcomes["flaky"].attempts == 2
-    assert result.retries == 1
-
-
-def test_fail_fast_raises_after_retries_exhausted():
-    spec = SweepSpec(
-        name="doomed",
-        tasks=(Task(name="boom", fn=boom),),
-    )
-    with pytest.raises(SweepError, match="2 attempt"):
-        SweepRunner(jobs=1,
-                    retry=RetryPolicy(max_attempts=2, backoff=0.0)).run(spec)
-
-
-def test_collect_policy_keeps_other_tasks():
-    spec = SweepSpec(
-        name="mixed",
-        tasks=(
-            Task(name="boom", fn=boom),
-            Task(name="fine", fn=add, params={"x": 2, "y": 2}),
-        ),
-    )
-    result = SweepRunner(
-        jobs=1, retry=RetryPolicy(max_attempts=1),
-        error_policy="collect",
-    ).run(spec)
-    assert result.value is None  # a partial grid does not reduce
-    assert [o.name for o in result.failures] == ["boom"]
-    assert "RuntimeError: boom" in result.outcomes["boom"].error
-    assert result.values() == {"fine": 4}
-
-
-def test_timeout_then_collect_parallel():
-    spec = SweepSpec(
-        name="slowpoke",
-        tasks=(
-            Task(name="stuck", fn=sleeper,
-                 params={"seconds": 5.0, "value": "never"}),
-            Task(name="quick", fn=add, params={"x": 1, "y": 1}),
-        ),
-    )
-    result = SweepRunner(
-        jobs=2, timeout=0.2, retry=RetryPolicy(max_attempts=1),
-        error_policy="collect",
-    ).run(spec)
-    assert result.values() == {"quick": 2}
-    assert "timeout" in result.outcomes["stuck"].error
-    assert result.wall_seconds < 5.0
-
-
-def test_unknown_error_policy_rejected():
-    with pytest.raises(SweepError, match="error policy"):
-        SweepRunner(error_policy="ignore")
+    observer = Observer()
+    failed = []
+    observer.bus.subscribe(lambda e: failed.append(e.fields["task"]),
+                           types=["sweep.task_failed"])
+    with pytest.raises(SweepError, match="task 'flaky' failed: "
+                                         "RuntimeError: flaky failure #1"):
+        SweepRunner(jobs=jobs, observer=observer).run(spec)
+    assert counter.read_bytes() == b"x"
+    assert failed == ["flaky"]
 
 
 def test_observer_sees_sweep_events_and_metrics():

@@ -22,10 +22,6 @@ def echo_seed(seed=None):
     return seed
 
 
-def boom(message="boom"):
-    raise RuntimeError(message)
-
-
 def sleeper(seconds, value):
     time.sleep(seconds)
     return value
@@ -34,7 +30,7 @@ def sleeper(seconds, value):
 def flaky(counter_path, fail_times, value):
     """Fail the first ``fail_times`` calls, then succeed.
 
-    The attempt counter is a file grown by one byte per call
+    The call counter is a file grown by one byte per call
     (``O_APPEND`` writes are atomic), so the count is shared across
     worker processes.
     """
