@@ -25,20 +25,19 @@ connection manager uses RPC operations for all control-plane
 activities", Section 7.3).
 
 Graceful degradation (the §5.4 single point of failure, measured by
-``python -m repro faults``): with ``fail_open=True`` a transport
-failure (:class:`RpcUnavailable`, :class:`RpcTimeout`) never reaches
-the application.  Saba's data plane is just switch queue state, so
-connections proceed under the last-programmed weights; meanwhile the
-library queues the failed control messages -- registrations to
-re-register, connection announcements to replay, teardowns to
-re-deliver -- and drains the queue when the controller returns
-(scheduled at the outage's known end when the fault model provides
-``recover_at``, opportunistically on the next successful call
-otherwise).  With a ``failover`` controller configured, a run of
-consecutive transport failures promotes the standby instead: the
-library re-registers every application and replays every open
-connection against it, reusing the Section 5.4 distributed design as
-the warm spare.
+``python -m repro faults``): with ``fail_open=True`` a refused call
+(:class:`RpcUnavailable`) never reaches the application.  Saba's data
+plane is just switch queue state, so connections proceed under the
+last-programmed weights; meanwhile the library queues the failed
+control messages -- registrations to re-register, connection
+announcements to replay, teardowns to re-deliver -- and drains the
+queue when the controller returns (scheduled at the outage's known
+end when the fault model provides ``recover_at``, opportunistically
+on the next successful call otherwise).  With a ``failover``
+controller configured, a run of consecutive refused calls promotes
+the standby instead: the library re-registers every application and
+replays every open connection against it, reusing the Section 5.4
+distributed design as the warm spare.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from repro.obs.events import (
 )
 from repro.cluster.jobs import Job
 from repro.core.controller import SabaController
-from repro.core.rpc import RpcBus, RpcTimeout, RpcUnavailable
+from repro.core.rpc import RpcBus, RpcUnavailable
 from repro.simnet.fabric import FluidFabric
 from repro.simnet.flows import Flow
 
@@ -106,8 +105,8 @@ class SabaLibrary:
         ``failover`` is an optional standby controller (anything with
         ``rpc_methods()`` and the fabric-policy protocol, e.g. a
         :class:`~repro.core.distributed.DistributedControllerGroup`).
-        After ``failover_threshold`` *consecutive* transport failures
-        the library promotes it: the dead primary is torn down, the
+        After ``failover_threshold`` *consecutive* refused calls the
+        library promotes it: the dead primary is torn down, the
         standby becomes the fabric policy, and registrations plus all
         open connections are replayed against it.  There is no
         automatic failback."""
@@ -158,7 +157,7 @@ class SabaLibrary:
         drop with a legitimate ``None`` reply)."""
         try:
             result = self._bus.call(self._endpoint, method, **kwargs)
-        except (RpcUnavailable, RpcTimeout) as exc:
+        except RpcUnavailable as exc:
             self._failures_in_row += 1
             if (
                 self._failover is not None
@@ -171,9 +170,8 @@ class SabaLibrary:
             if not self._fail_open:
                 raise
             self.dropped_control_messages += 1
-            recover_at = getattr(exc, "recover_at", None)
-            if recover_at is not None:
-                self._schedule_drain(recover_at)
+            if exc.recover_at is not None:
+                self._schedule_drain(exc.recover_at)
             return _DROPPED
         else:
             self._failures_in_row = 0
@@ -185,21 +183,10 @@ class SabaLibrary:
 
     @classmethod
     def factory(
-        cls,
-        controller: SabaController,
-        bus: Optional[RpcBus] = None,
-        multipath: bool = False,
-        observer: Optional[Observer] = None,
-        fail_open: bool = False,
-        failover: Optional[object] = None,
-        failover_threshold: int = 3,
+        cls, controller: SabaController
     ) -> Callable[[FluidFabric], "SabaLibrary"]:
         """Connections-factory for :class:`CoRunExecutor`."""
-        return lambda fabric: cls(
-            fabric, controller, bus=bus, multipath=multipath,
-            observer=observer, fail_open=fail_open, failover=failover,
-            failover_threshold=failover_threshold,
-        )
+        return lambda fabric: cls(fabric, controller)
 
     @property
     def bus(self) -> RpcBus:
@@ -419,7 +406,7 @@ class SabaLibrary:
 
         Re-registers queued applications, replays open connections the
         controller never heard about, and re-delivers missed
-        teardowns.  Stops at the first transport failure (the backlog
+        teardowns.  Stops at the first refused call (the backlog
         stays queued for the next recovery).  Returns ``True`` when
         the backlog is empty afterwards.
         """

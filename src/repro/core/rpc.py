@@ -1,4 +1,4 @@
-"""Resilient in-process RPC bus for control-plane traffic.
+"""In-process RPC bus for control-plane traffic.
 
 The paper's connection manager "uses RPC operations for all
 control-plane activities" (Section 7.3).  Within the simulator the
@@ -8,35 +8,15 @@ so the message flow of Figure 7 is observable: tests assert on call
 counts, and the distributed-controller experiment counts forwarding
 hops.
 
-Beyond plain dispatch the bus now implements the failure semantics a
-real control plane needs (and that the faults experiment measures):
-
-* **request envelopes** -- :class:`RpcRequest` carries a per-call
-  timeout and retry policy; :meth:`RpcBus.submit` returns an
-  :class:`RpcResponse` with the delivered value plus attempt/latency
-  accounting.  :meth:`RpcBus.call` stays the one-line sugar every
-  existing call site uses.
-* **typed transport errors** -- :class:`RpcUnavailable` (endpoint
-  missing or crash-injected; carries ``recover_at`` when the fault
-  model knows the outage's end) and :class:`RpcTimeout` (deadline
-  exceeded; ``executed`` distinguishes a lost request from a stalled
-  handler whose side effect happened).  Both subclass
-  :class:`RpcError`, so older ``except RpcError`` sites keep working.
-* **bounded retry** -- exponential backoff with seeded jitter,
-  re-attempting only failures where the handler provably did *not*
-  run (unavailable endpoints, lost or late *requests*).  A stalled
-  handler already executed, so its timeout is raised without retry:
-  the bus is at-most-once for non-idempotent control operations.
-* **fault injection** -- an optional
-  :class:`~repro.faults.injector.FaultInjector` is consulted per
-  attempt.  Without one, no RNG is touched and no timeout can fire,
-  so a fault-free bus behaves bit-identically to the original
-  synchronous dispatch.
-
-Control-plane time is *virtual*: the simulator cannot suspend a call
-mid-event, so injected latency and backoff accumulate in
-``RpcResponse.latency`` / ``RpcStats`` (and decide timeouts) instead
-of advancing the simulated clock.  See DESIGN.md §5e.
+Each call is one attempt: it reaches its handler, or it raises
+:class:`RpcUnavailable` because the endpoint is missing or, with a
+:class:`~repro.faults.injector.FaultInjector` plugged in, inside a
+crash window (``recover_at`` then carries the window's end).  Nothing
+is retried: the simulated clock does not move during a call, so a
+retry would meet the same crash window, and a missing endpoint stays
+missing.  A refused call never reached its handler, so the Saba
+library's fail-open replay of it is always a first delivery.  Without
+an injector the bus is plain synchronous dispatch.  See DESIGN.md §5e.
 
 Registration contract: :meth:`RpcBus.register` raises on a duplicate
 endpoint (two owners for one name is a programming error) unless
@@ -49,13 +29,14 @@ promotion through exactly this pair.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional
 
 from repro.errors import ReproError
-from repro.obs.events import NULL_OBSERVER, Observer
+
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector
 
 
 class RpcError(ReproError):
@@ -71,86 +52,10 @@ class RpcUnavailable(RpcError):
     """
 
     def __init__(self, message: str, target: str = "",
-                 recover_at: Optional[float] = None,
-                 attempts: int = 1) -> None:
+                 recover_at: Optional[float] = None) -> None:
         super().__init__(message)
         self.target = target
         self.recover_at = recover_at
-        self.attempts = attempts
-
-
-class RpcTimeout(RpcError):
-    """The call's deadline elapsed before a reply arrived.
-
-    ``executed`` tells the caller whether the handler ran: ``False``
-    for a lost/late *request* (safe to retry), ``True`` for a stalled
-    handler whose side effect happened (retrying would duplicate it).
-    """
-
-    def __init__(self, message: str, target: str = "", method: str = "",
-                 executed: bool = False, attempts: int = 1) -> None:
-        super().__init__(message)
-        self.target = target
-        self.method = method
-        self.executed = executed
-        self.attempts = attempts
-        self.recover_at: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class RpcRetryPolicy:
-    """Bounded retry with exponential backoff and jitter.
-
-    Attempt ``k`` (1-based) retries after
-    ``min(backoff_max, backoff_base * backoff_factor**(k-1))``
-    seconds, inflated by up to ``jitter`` (a fraction) of seeded
-    noise.  Backoff is virtual control-plane time (see module doc).
-    """
-
-    max_attempts: int = 1
-    backoff_base: float = 1e-3
-    backoff_factor: float = 2.0
-    backoff_max: float = 0.1
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise RpcError(f"max_attempts must be >= 1: {self.max_attempts}")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise RpcError("backoff must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise RpcError(f"jitter must be in [0, 1]: {self.jitter}")
-
-    def backoff_before(self, attempt: int, rng: random.Random) -> float:
-        """Backoff preceding ``attempt`` (2-based; attempt 1 is free)."""
-        base = min(self.backoff_max,
-                   self.backoff_base * self.backoff_factor ** (attempt - 2))
-        return base * (1.0 + self.jitter * rng.random())
-
-
-@dataclass(frozen=True)
-class RpcRequest:
-    """One control-plane request envelope."""
-
-    target: str
-    method: str
-    kwargs: Mapping[str, Any] = field(default_factory=dict)
-    #: Per-call deadline in (virtual) seconds; ``None`` uses the bus
-    #: default, which may itself be ``None`` (no deadline).
-    timeout: Optional[float] = None
-    #: Per-call retry policy; ``None`` uses the bus default.
-    retry: Optional[RpcRetryPolicy] = None
-
-
-@dataclass(frozen=True)
-class RpcResponse:
-    """A delivered reply plus its transport accounting."""
-
-    value: Any
-    attempts: int = 1
-    #: Virtual control-plane seconds spent: injected latency + stalls
-    #: + timeouts burned on failed attempts + retry backoff.
-    latency: float = 0.0
 
 
 @dataclass
@@ -159,51 +64,27 @@ class RpcStats:
 
     submitted: int = 0
     delivered: int = 0
-    retries: int = 0
-    timeouts: int = 0
     unavailable: int = 0
-    backoff_seconds: float = 0.0
-    latency_seconds: float = 0.0
-
-
-class _Attempt(Exception):
-    """Internal: one attempt failed retryably; carries the real error."""
-
-    def __init__(self, error: RpcError, elapsed: float) -> None:
-        self.error = error
-        self.elapsed = elapsed
+    #: Always 0, since each call is one attempt; perfbench's
+    #: ``core.rpc.retries`` metric reads it.
+    retries: int = 0
 
 
 class RpcBus:
-    """A synchronous, named-endpoint message bus with failure semantics.
+    """A synchronous, named-endpoint message bus.
 
-    ``faults`` plugs in a :class:`~repro.faults.injector.
-    FaultInjector`; ``default_timeout``/``retry`` set bus-wide
-    defaults that request envelopes may override; ``seed`` drives the
-    backoff jitter; ``observer`` receives ``rpc.*`` retry/latency
-    metrics.  All defaults preserve the original fail-fast synchronous
-    behaviour exactly.
+    ``faults`` plugs in a :class:`~repro.faults.injector.FaultInjector`
+    whose crash windows refuse calls to their endpoint.
     """
 
-    def __init__(
-        self,
-        default_timeout: Optional[float] = None,
-        retry: Optional[RpcRetryPolicy] = None,
-        faults: Optional[object] = None,
-        seed: int = 0,
-        observer: Optional[Observer] = None,
-    ) -> None:
+    def __init__(self, faults: Optional[FaultInjector] = None) -> None:
         self._endpoints: Dict[str, Dict[str, Callable[..., Any]]] = {}
         #: Delivered handler invocations per (target, method) -- a
-        #: dropped/lost call is *not* counted, which is what lets
-        #: tests assert the controller never saw it.
+        #: refused call is *not* counted, which is what lets tests
+        #: assert the controller never saw it.
         self.call_counts: Counter = Counter()
-        self.default_timeout = default_timeout
-        self.retry = retry if retry is not None else RpcRetryPolicy()
         self.faults = faults
-        self.observer = observer if observer is not None else NULL_OBSERVER
         self.stats = RpcStats()
-        self._jitter_rng = random.Random(f"rpc:{seed}:jitter")
 
     # -- endpoint registry -------------------------------------------------
 
@@ -242,132 +123,35 @@ class RpcBus:
     # -- calls -------------------------------------------------------------
 
     def call(self, target: str, method: str, **kwargs: Any) -> Any:
-        """Invoke ``method`` on ``target`` under the bus defaults."""
-        return self.submit(
-            RpcRequest(target=target, method=method, kwargs=kwargs)
-        ).value
+        """Invoke ``method`` on ``target``; sugar for :meth:`submit`."""
+        return self.submit(target, method, kwargs)
 
-    def request(self, target: str, method: str,
-                timeout: Optional[float] = None,
-                retry: Optional[RpcRetryPolicy] = None,
-                **kwargs: Any) -> RpcResponse:
-        """Envelope convenience: per-call timeout/retry overrides."""
-        return self.submit(RpcRequest(target=target, method=method,
-                                      kwargs=kwargs, timeout=timeout,
-                                      retry=retry))
+    def submit(self, target: str, method: str,
+               kwargs: Mapping[str, Any]) -> Any:
+        """Deliver one call and return the handler's result.
 
-    def submit(self, req: RpcRequest) -> RpcResponse:
-        """Deliver one request, retrying per its policy."""
-        retry = req.retry if req.retry is not None else self.retry
-        timeout = (req.timeout if req.timeout is not None
-                   else self.default_timeout)
+        Raises :class:`RpcUnavailable` when ``target`` is inside a
+        crash window or not registered, and a plain :class:`RpcError`
+        when it has no such method; the handler then never runs.
+        """
         self.stats.submitted += 1
-        virtual = 0.0
-        last_error: Optional[RpcError] = None
-        obs = self.observer
-        for attempt in range(1, max(1, retry.max_attempts) + 1):
-            if attempt > 1:
-                backoff = retry.backoff_before(attempt, self._jitter_rng)
-                virtual += backoff
-                self.stats.retries += 1
-                self.stats.backoff_seconds += backoff
-                if obs.enabled:
-                    obs.metrics.counter("rpc.retries").inc()
-            try:
-                value, latency = self._attempt(req.target, req.method,
-                                               req.kwargs, timeout)
-            except _Attempt as failed:
-                virtual += failed.elapsed
-                last_error = failed.error
-                continue
-            except RpcTimeout as exc:
-                # Executed-but-stalled: at-most-once, no retry.
-                exc.attempts = attempt
-                raise
-            virtual += latency
-            self.stats.delivered += 1
-            self.stats.latency_seconds += virtual
-            if obs.enabled and virtual > 0.0:
-                obs.metrics.histogram("rpc.latency_seconds").observe(virtual)
-            return RpcResponse(value=value, attempts=attempt,
-                               latency=virtual)
-        assert last_error is not None
-        last_error.attempts = max(1, retry.max_attempts)
-        raise last_error
-
-    def _attempt(self, target: str, method: str,
-                 kwargs: Mapping[str, Any],
-                 timeout: Optional[float]) -> tuple:
-        """One delivery attempt; raises ``_Attempt`` when retryable."""
-        obs = self.observer
-        fate = (self.faults.fate_of(target, method)
-                if self.faults is not None else None)
-        if fate is not None and fate.down_until is not None:
-            self.stats.unavailable += 1
-            if obs.enabled:
-                obs.metrics.counter("rpc.unavailable").inc()
-            raise _Attempt(
-                RpcUnavailable(
-                    f"endpoint {target!r} is down", target=target,
-                    recover_at=fate.down_until,
-                ),
-                elapsed=0.0,  # connection refused: fails fast
-            )
+        if self.faults is not None:
+            down_until = self.faults.fate_of(target).down_until
+            if down_until is not None:
+                self.stats.unavailable += 1
+                raise RpcUnavailable(f"endpoint {target!r} is down",
+                                     target=target, recover_at=down_until)
         endpoint = self._endpoints.get(target)
         if endpoint is None:
             self.stats.unavailable += 1
-            if obs.enabled:
-                obs.metrics.counter("rpc.unavailable").inc()
-            raise _Attempt(
-                RpcUnavailable(f"no endpoint {target!r}", target=target),
-                elapsed=0.0,
-            )
+            raise RpcUnavailable(f"no endpoint {target!r}", target=target)
         handler = endpoint.get(method)
         if handler is None:
-            # Programming error, not a transport fault: no retry.
             raise RpcError(f"endpoint {target!r} has no method {method!r}")
-        if fate is not None:
-            if fate.lost:
-                # The request vanished; the caller burns its deadline
-                # (or fails immediately when it set none).
-                self.stats.timeouts += 1
-                if obs.enabled:
-                    obs.metrics.counter("rpc.timeouts").inc()
-                raise _Attempt(
-                    RpcTimeout(
-                        f"{target}.{method} timed out (request lost)",
-                        target=target, method=method, executed=False,
-                    ),
-                    elapsed=timeout if timeout is not None else 0.0,
-                )
-            if timeout is not None and fate.latency / 2.0 > timeout:
-                # Request leg alone exceeds the deadline: the handler
-                # never saw it, so this is retryable too.
-                self.stats.timeouts += 1
-                if obs.enabled:
-                    obs.metrics.counter("rpc.timeouts").inc()
-                raise _Attempt(
-                    RpcTimeout(
-                        f"{target}.{method} timed out (request in flight)",
-                        target=target, method=method, executed=False,
-                    ),
-                    elapsed=timeout,
-                )
         self.call_counts[(target, method)] += 1
         value = handler(**kwargs)
-        latency = (fate.latency + fate.stall) if fate is not None else 0.0
-        if timeout is not None and latency > timeout:
-            # The handler ran but the reply is late: raise without
-            # retrying (the side effect already happened).
-            self.stats.timeouts += 1
-            if obs.enabled:
-                obs.metrics.counter("rpc.timeouts").inc()
-            raise RpcTimeout(
-                f"{target}.{method} timed out after executing "
-                f"(reply {latency:.4f}s > deadline {timeout:.4f}s)",
-                target=target, method=method, executed=True,
-            )
-        return value, latency
+        self.stats.delivered += 1
+        return value
 
     # -- accounting --------------------------------------------------------
 

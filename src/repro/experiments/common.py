@@ -386,7 +386,6 @@ def build_scenario(
     spec: ScenarioSpec,
     table: Optional[SensitivityTable] = None,
     observer=None,
-    recorder=None,
     connections_factory=None,
     setup: Optional[PolicySetup] = None,
     faults=None,
@@ -428,7 +427,6 @@ def build_scenario(
     executor = CoRunExecutor(
         topology,
         policy=setup,
-        recorder=recorder,
         completion_quantum=spec.completion_quantum,
         observer=observer,
         incremental=spec.incremental,

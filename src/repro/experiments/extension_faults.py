@@ -16,8 +16,8 @@ Two resilience strategies are compared across fault intensities:
 * ``saba``          -- fail-open + recovery replay only;
 * ``saba-failover`` -- additionally promotes a warm
   :class:`~repro.core.distributed.DistributedControllerGroup` standby
-  after a run of consecutive transport failures (the §5.4 design
-  reused as the failover path).
+  after a run of consecutive refused calls (the §5.4 design reused as
+  the failover path).
 
 The expected shape, asserted by ``tests/faults/test_experiment.py``:
 Saba's speedup over the baseline decays toward 1x as controller
@@ -25,10 +25,10 @@ downtime grows (more connections run unmanaged) but never falls
 below it -- fail-open degrades to baseline behaviour, not past it --
 and failover holds the speedup closer to the fault-free value.
 
-Everything is deterministic in ``seed``: arrivals, placements, fault
-windows, and RPC jitter each derive their own stream from it, so one
-point re-run twice produces byte-identical JSON (the CI golden file
-relies on this).
+Everything is deterministic in ``seed``: arrivals, placements and
+fault windows each derive their own stream from it, so one point
+re-run twice produces byte-identical JSON (the CI golden file relies
+on this).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.baselines.infiniband import DEFAULT_COLLAPSE_ALPHA
 from repro.core.distributed import DistributedControllerGroup, MappingDatabase
 from repro.core.library import SabaLibrary
-from repro.core.rpc import RpcBus, RpcRetryPolicy
+from repro.core.rpc import RpcBus
 from repro.core.table import SensitivityTable
 from repro.experiments.common import (
     EXPERIMENT_QUANTUM,
@@ -84,8 +84,6 @@ def run_faults_point(
     mean_gap: float = 4.0,
     collapse_alpha: float = DEFAULT_COLLAPSE_ALPHA,
     completion_quantum: float = EXPERIMENT_QUANTUM,
-    rpc_timeout: float = 0.5,
-    rpc_attempts: int = 3,
 ) -> Dict[str, Dict[str, float]]:
     """One co-run under one policy and one fault intensity.
 
@@ -122,12 +120,7 @@ def run_faults_point(
             (FaultSpec.crash("controller", mtbf=mtbf, mttr=mttr),),
             seed=seed + 3,
         ).build()
-    bus = RpcBus(
-        default_timeout=rpc_timeout,
-        retry=RpcRetryPolicy(max_attempts=rpc_attempts),
-        faults=injector,
-        seed=seed + 4,
-    )
+    bus = RpcBus(faults=injector)
     setup = make_policy("saba", table, collapse_alpha=collapse_alpha)
     controller = setup.controller
     failover = None
@@ -160,8 +153,6 @@ def run_faults_point(
         "pending_registrations": float(lib.pending_registrations),
         "rpc_submitted": float(bus.stats.submitted),
         "rpc_delivered": float(bus.stats.delivered),
-        "rpc_retries": float(bus.stats.retries),
-        "rpc_timeouts": float(bus.stats.timeouts),
         "rpc_unavailable": float(bus.stats.unavailable),
     }
     if injector is not None:
@@ -236,8 +227,6 @@ def faults_sweep_spec(
     table: Optional[SensitivityTable] = None,
     series: Sequence[str] = SERIES,
     completion_quantum: float = EXPERIMENT_QUANTUM,
-    rpc_timeout: float = 0.5,
-    rpc_attempts: int = 3,
 ) -> SweepSpec:
     """The faults study as a sweep: one task per (strategy, MTBF)
     point plus one shared baseline task, fanned out by
@@ -255,8 +244,6 @@ def faults_sweep_spec(
         "mean_gap": mean_gap,
         "collapse_alpha": collapse_alpha,
         "completion_quantum": completion_quantum,
-        "rpc_timeout": rpc_timeout,
-        "rpc_attempts": rpc_attempts,
     }
     tasks = [
         Task(name="faults:baseline", fn=run_faults_point,
@@ -302,6 +289,5 @@ def faults_sweep_spec(
             "mean_gap": mean_gap, "collapse_alpha": collapse_alpha,
             "series": list(series),
             "completion_quantum": completion_quantum,
-            "rpc_timeout": rpc_timeout, "rpc_attempts": rpc_attempts,
         },
     )

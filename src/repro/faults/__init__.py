@@ -1,10 +1,11 @@
-"""Deterministic control-plane fault injection (``repro.faults``).
+"""Deterministic fault injection (``repro.faults``).
 
 Declarative, seeded fault schedules (:class:`FaultSpec`,
-:class:`FaultPlan`) evaluated against the simulated clock by a
-:class:`FaultInjector` that the RPC bus consults on every call
-attempt.  See ``DESIGN.md`` §5e for the fault model and the
-exactness-when-disabled argument.
+:class:`FaultPlan`) of two kinds: controller crashes, evaluated
+against the simulated clock by a :class:`FaultInjector` that the RPC
+bus consults on every call, and link outages, which a
+:class:`LinkFaultDriver` applies to a fabric.  See ``DESIGN.md`` §5e
+for the fault model.
 """
 
 from repro.faults.injector import CLEAN_FATE, CallFate, FaultInjector
@@ -12,10 +13,7 @@ from repro.faults.links import LinkFaultDriver
 from repro.faults.spec import (
     FAULT_KINDS,
     KIND_CRASH,
-    KIND_LATENCY,
     KIND_LINK_DOWN,
-    KIND_LOSS,
-    KIND_STALL,
     FaultPlan,
     FaultSpec,
 )
@@ -28,9 +26,6 @@ __all__ = [
     "FaultSpec",
     "FAULT_KINDS",
     "KIND_CRASH",
-    "KIND_LATENCY",
     "KIND_LINK_DOWN",
-    "KIND_LOSS",
-    "KIND_STALL",
     "LinkFaultDriver",
 ]

@@ -10,12 +10,10 @@ no-fault run never touches the injector at all.  Recovery-driven work
 *reactively* by the caller, using the ``recover_at`` carried on
 :class:`~repro.core.rpc.RpcUnavailable`.
 
-Determinism: every draw comes from per-target RNG streams seeded from
-``(plan.seed, target, purpose)``, and the per-call stream is consumed
-in call order -- which the single-threaded event engine makes
-reproducible.  Each call consumes a *fixed* number of draws (one per
-configured per-call fault), so the schedule of one fault kind is
-independent of another kind's outcomes.
+Determinism: each spec's windows come from its own RNG stream, seeded
+from ``(plan.seed, target, kind)`` and drawn in timeline order, so a
+schedule depends neither on when or how often it is queried nor on
+the other specs of the plan.
 """
 
 from __future__ import annotations
@@ -27,39 +25,19 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FaultError
-from repro.faults.spec import (
-    KIND_CRASH,
-    KIND_LATENCY,
-    KIND_LINK_DOWN,
-    KIND_LOSS,
-    KIND_STALL,
-    FaultPlan,
-    FaultSpec,
-)
-from repro.obs.events import (
-    FAULT_CRASH,
-    FAULT_INJECTED,
-    FAULT_RECOVER,
-    NULL_OBSERVER,
-    Observer,
-)
+from repro.faults.spec import KIND_CRASH, KIND_LINK_DOWN, FaultPlan, FaultSpec
+from repro.obs.events import FAULT_CRASH, FAULT_RECOVER, NULL_OBSERVER
 
 
 @dataclass(frozen=True)
 class CallFate:
-    """What the fault model decided for one RPC attempt."""
+    """What the fault model decided for one RPC call."""
 
     #: Endpoint is crashed; unreachable until this simulated time.
     down_until: Optional[float] = None
-    #: Request dropped in the network (handler never runs).
-    lost: bool = False
-    #: Round-trip transit latency (seconds of control-plane time).
-    latency: float = 0.0
-    #: Extra handler-side delay before the reply is sent.
-    stall: float = 0.0
 
 
-#: Shared fate for targets without faults (the common case).
+#: Shared fate for calls to a live endpoint (the common case).
 CLEAN_FATE = CallFate()
 
 
@@ -128,44 +106,14 @@ class _CrashTimeline:
 
 
 class _TargetFaults:
-    """All fault state for one endpoint."""
+    """One endpoint's crash timeline and its last observed state."""
 
-    __slots__ = ("crash", "loss_prob", "mean_latency", "stall_prob",
-                 "stall_duration", "per_call_start", "loss_rng",
-                 "latency_rng", "stall_rng", "observed_down",
-                 "last_window")
+    __slots__ = ("crash", "observed_down", "last_window")
 
-    def __init__(self, target: str, specs: List[FaultSpec],
-                 seed: int) -> None:
-        self.crash: Optional[_CrashTimeline] = None
-        self.loss_prob = 0.0
-        self.mean_latency = 0.0
-        self.stall_prob = 0.0
-        self.stall_duration = 0.0
-        self.per_call_start = 0.0
-        # One stream per fault kind: adding or removing one kind on a
-        # target never perturbs another kind's schedule.
-        self.loss_rng = random.Random(f"faults:{seed}:{target}:loss")
-        self.latency_rng = random.Random(f"faults:{seed}:{target}:latency")
-        self.stall_rng = random.Random(f"faults:{seed}:{target}:stall")
+    def __init__(self, crash: _CrashTimeline) -> None:
+        self.crash = crash
         self.observed_down = False
         self.last_window: Optional[Tuple[float, float]] = None
-        for spec in specs:
-            if spec.kind == KIND_CRASH:
-                self.crash = _CrashTimeline(
-                    spec,
-                    random.Random(f"faults:{seed}:{target}:crash"),
-                )
-            elif spec.kind == KIND_LOSS:
-                self.loss_prob = spec.prob
-                self.per_call_start = max(self.per_call_start, spec.start)
-            elif spec.kind == KIND_LATENCY:
-                self.mean_latency = spec.mean_latency
-                self.per_call_start = max(self.per_call_start, spec.start)
-            elif spec.kind == KIND_STALL:
-                self.stall_prob = spec.prob
-                self.stall_duration = spec.duration
-                self.per_call_start = max(self.per_call_start, spec.start)
 
 
 class FaultInjector:
@@ -174,44 +122,39 @@ class FaultInjector:
     Usage: build from a plan, :meth:`bind` to the run's
     :class:`~repro.simnet.engine.Simulator`, and hand to
     :class:`~repro.core.rpc.RpcBus` (``RpcBus(faults=injector)``); the
-    bus consults :meth:`fate_of` on every call attempt.
+    bus consults :meth:`fate_of` on every call.
     :class:`~repro.cluster.runtime.CoRunExecutor` binds an injector
     passed as its ``faults`` argument automatically.
     """
 
-    def __init__(self, plan: FaultPlan,
-                 observer: Optional[Observer] = None) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.observer = observer if observer is not None else NULL_OBSERVER
+        self.observer = NULL_OBSERVER
         self._sim = None
-        #: kind -> number of injections (loss/stall/latency per call,
-        #: crash per rejected call).
+        #: kind -> number of injections (crash: one per refused call).
         self.stats: Counter = Counter()
-        by_target: Dict[str, List[FaultSpec]] = {}
-        #: Link-down timelines keyed by directed link id, in spec
-        #: order.  Kept apart from the RPC-endpoint faults: ``fate_of``
-        #: never consults them, they only answer schedule queries.
+        #: Crash timelines of RPC endpoints, and link-down timelines
+        #: keyed by directed link id, in spec order.  ``fate_of``
+        #: never consults the links: they only answer schedule
+        #: queries.
+        self._targets: Dict[str, _TargetFaults] = {}
         self._links: Dict[str, _CrashTimeline] = {}
-        self._link_specs: Dict[str, FaultSpec] = {}
         for spec in plan.specs:
+            timeline = _CrashTimeline(
+                spec,
+                random.Random(f"faults:{plan.seed}:{spec.target}:{spec.kind}"),
+            )
             if spec.kind == KIND_LINK_DOWN:
-                self._links[spec.target] = _CrashTimeline(
-                    spec,
-                    random.Random(
-                        f"faults:{plan.seed}:{spec.target}:link_down"
-                    ),
-                )
-                self._link_specs[spec.target] = spec
+                self._links[spec.target] = timeline
             else:
-                by_target.setdefault(spec.target, []).append(spec)
-        self._targets: Dict[str, _TargetFaults] = {
-            target: _TargetFaults(target, specs, plan.seed)
-            for target, specs in by_target.items()
-        }
+                self._targets[spec.target] = _TargetFaults(timeline)
 
     def bind(self, sim) -> "FaultInjector":
-        """Adopt ``sim`` as the clock; returns self for chaining."""
+        """Adopt ``sim`` as the clock, and its observer (if it has one)
+        for the ``faults.crash``/``faults.recover`` events; returns
+        self for chaining."""
         self._sim = sim
+        self.observer = getattr(sim, "observer", NULL_OBSERVER)
         return self
 
     @property
@@ -223,7 +166,7 @@ class FaultInjector:
                     t: Optional[float] = None) -> Optional[Tuple[float, float]]:
         """The crash window covering ``t`` (default: now), if any."""
         tf = self._targets.get(target)
-        if tf is None or tf.crash is None:
+        if tf is None:
             return None
         return tf.crash.window_at(self.now if t is None else t)
 
@@ -251,49 +194,18 @@ class FaultInjector:
             raise FaultError(f"no link_down spec for {link_id!r}")
         return timeline.next_window(after)
 
-    def fate_of(self, target: str, method: str) -> CallFate:
-        """Decide the fate of one RPC attempt, advancing per-call RNG."""
+    def fate_of(self, target: str) -> CallFate:
+        """Decide the fate of one RPC call to ``target`` now."""
         tf = self._targets.get(target)
         if tf is None:
             return CLEAN_FATE
         now = self.now
-        window = tf.crash.window_at(now) if tf.crash is not None else None
+        window = tf.crash.window_at(now)
         self._note_transition(target, tf, window, now)
-        if window is not None:
-            self.stats[KIND_CRASH] += 1
-            return CallFate(down_until=window[1])
-        if (tf.loss_prob == 0.0 and tf.mean_latency == 0.0
-                and tf.stall_prob == 0.0):
+        if window is None:
             return CLEAN_FATE
-        # One draw per configured fault, each from its own per-kind
-        # stream, regardless of outcomes: the schedule of one fault
-        # kind is fully independent of the others.
-        lost = (tf.loss_prob > 0.0
-                and tf.loss_rng.random() < tf.loss_prob)
-        latency = (tf.latency_rng.expovariate(1.0 / tf.mean_latency)
-                   if tf.mean_latency > 0.0 else 0.0)
-        stalled = (tf.stall_prob > 0.0
-                   and tf.stall_rng.random() < tf.stall_prob)
-        if now < tf.per_call_start:
-            return CLEAN_FATE
-        obs = self.observer
-        if lost:
-            self.stats[KIND_LOSS] += 1
-            if obs.enabled:
-                obs.metrics.counter("faults.losses").inc()
-                obs.emit(FAULT_INJECTED, now, target=target, method=method,
-                         kind=KIND_LOSS)
-            return CallFate(lost=True)
-        if latency > 0.0:
-            self.stats[KIND_LATENCY] += 1
-        stall = tf.stall_duration if stalled else 0.0
-        if stalled:
-            self.stats[KIND_STALL] += 1
-            if obs.enabled:
-                obs.metrics.counter("faults.stalls").inc()
-                obs.emit(FAULT_INJECTED, now, target=target, method=method,
-                         kind=KIND_STALL, duration=stall)
-        return CallFate(latency=latency, stall=stall)
+        self.stats[KIND_CRASH] += 1
+        return CallFate(down_until=window[1])
 
     def _note_transition(self, target: str, tf: _TargetFaults,
                          window: Optional[Tuple[float, float]],

@@ -1,4 +1,4 @@
-"""Declarative fault specifications for the control plane.
+"""Declarative fault specifications.
 
 The paper concedes that "a centralized controller represents a single
 point of failure" (Section 5.4) but never measures what that costs.
@@ -7,24 +7,15 @@ pure function of a seed and the simulated clock, so two runs of the
 same experiment inject byte-identical fault sequences and the sweep
 cache can key on the spec itself.
 
-A :class:`FaultSpec` names one failure mode of one RPC endpoint:
+A :class:`FaultSpec` names one of two failure modes:
 
-* ``crash``   -- the endpoint is unreachable during down windows,
+* ``crash``     -- an RPC endpoint is unreachable during down windows,
   either drawn from exponential MTBF/MTTR distributions (a seeded
   renewal process) or given explicitly as ``windows``;
-* ``latency`` -- per-call transit latency, exponentially distributed;
-* ``loss``    -- each request is dropped in the network with
-  probability ``prob`` (the handler never runs);
-* ``stall``   -- with probability ``prob`` the handler runs but its
-  reply is delayed by ``duration`` seconds (a GC pause / overloaded
-  controller -- the caller may time out even though the side effect
-  happened).
-
-One kind targets the *data plane* instead of an RPC endpoint:
-
-* ``link_down`` -- the target is a directed link id; the link is down
-  during its windows (same MTBF/MTTR renewal process or scripted
-  windows as ``crash``).  The injector only answers schedule queries
+* ``link_down`` -- the target is a directed link id of the *data
+  plane*; the link is down during its windows (same MTBF/MTTR renewal
+  process or scripted windows as ``crash``).  The injector only
+  answers schedule queries
   (:meth:`~repro.faults.injector.FaultInjector.next_link_window`);
   applying transitions to a fabric is the job of
   :class:`~repro.faults.links.LinkFaultDriver`, so the same
@@ -40,28 +31,25 @@ exact fault schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import FaultError
 
+#: An RPC endpoint refuses calls during its windows.
 KIND_CRASH = "crash"
-KIND_LATENCY = "latency"
-KIND_LOSS = "loss"
-KIND_STALL = "stall"
 #: A network link (the spec's ``target`` is a directed link id) is
-#: down during its windows, unlike the four RPC-endpoint kinds above.
+#: down during its windows.
 KIND_LINK_DOWN = "link_down"
 
-FAULT_KINDS = (KIND_CRASH, KIND_LATENCY, KIND_LOSS, KIND_STALL,
-               KIND_LINK_DOWN)
+FAULT_KINDS = (KIND_CRASH, KIND_LINK_DOWN)
 
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One failure mode of one endpoint.  Prefer the named
-    constructors (:meth:`crash`, :meth:`outage`, :meth:`latency`,
-    :meth:`loss`, :meth:`stall`) over filling fields by hand."""
+    """One failure mode of one endpoint or link.  Prefer the named
+    constructors (:meth:`crash`, :meth:`outage`, :meth:`link_down`,
+    :meth:`link_flap`) over filling fields by hand."""
 
     target: str
     kind: str
@@ -71,12 +59,6 @@ class FaultSpec:
     #: Explicit outage windows ``((start, end), ...)`` -- an
     #: alternative to the MTBF/MTTR process for scripted scenarios.
     windows: Tuple[Tuple[float, float], ...] = ()
-    #: Mean of the exponential per-call latency (``latency`` kind).
-    mean_latency: float = 0.0
-    #: Per-call probability (``loss`` and ``stall`` kinds).
-    prob: float = 0.0
-    #: Reply delay of a stalled handler (``stall`` kind).
-    duration: float = 0.0
     #: Simulated time before which the fault is dormant.
     start: float = 0.0
 
@@ -93,48 +75,31 @@ class FaultSpec:
             self, "windows",
             tuple((float(s), float(e)) for s, e in self.windows),
         )
-        if self.kind in (KIND_CRASH, KIND_LINK_DOWN):
-            stochastic = self.mtbf is not None or self.mttr is not None
-            if stochastic and self.windows:
+        stochastic = self.mtbf is not None or self.mttr is not None
+        if stochastic and self.windows:
+            raise FaultError(
+                f"{self.kind} spec takes either mtbf/mttr or explicit "
+                "windows, not both"
+            )
+        if stochastic:
+            if not (self.mtbf and self.mtbf > 0
+                    and self.mttr and self.mttr > 0):
                 raise FaultError(
-                    f"{self.kind} spec takes either mtbf/mttr or explicit "
-                    "windows, not both"
+                    f"{self.kind} spec needs mtbf > 0 and mttr > 0, got "
+                    f"mtbf={self.mtbf} mttr={self.mttr}"
                 )
-            if stochastic:
-                if not (self.mtbf and self.mtbf > 0
-                        and self.mttr and self.mttr > 0):
-                    raise FaultError(
-                        f"{self.kind} spec needs mtbf > 0 and mttr > 0, got "
-                        f"mtbf={self.mtbf} mttr={self.mttr}"
-                    )
-            elif not self.windows:
+        elif not self.windows:
+            raise FaultError(
+                f"{self.kind} spec needs mtbf/mttr or windows"
+            )
+        previous_end = 0.0
+        for s, e in self.windows:
+            if s < previous_end or e <= s:
                 raise FaultError(
-                    f"{self.kind} spec needs mtbf/mttr or windows"
+                    f"outage windows must be sorted, non-overlapping "
+                    f"and non-empty: {self.windows}"
                 )
-            previous_end = 0.0
-            for s, e in self.windows:
-                if s < previous_end or e <= s:
-                    raise FaultError(
-                        f"outage windows must be sorted, non-overlapping "
-                        f"and non-empty: {self.windows}"
-                    )
-                previous_end = e
-        elif self.kind == KIND_LATENCY:
-            if self.mean_latency <= 0:
-                raise FaultError(
-                    f"latency spec needs mean_latency > 0: "
-                    f"{self.mean_latency}"
-                )
-        elif self.kind == KIND_LOSS:
-            if not 0.0 < self.prob <= 1.0:
-                raise FaultError(f"loss prob must be in (0, 1]: {self.prob}")
-        elif self.kind == KIND_STALL:
-            if not 0.0 < self.prob <= 1.0:
-                raise FaultError(f"stall prob must be in (0, 1]: {self.prob}")
-            if self.duration <= 0:
-                raise FaultError(
-                    f"stall duration must be > 0: {self.duration}"
-                )
+            previous_end = e
 
     # -- named constructors ------------------------------------------------
 
@@ -150,25 +115,6 @@ class FaultSpec:
                windows: Tuple[Tuple[float, float], ...]) -> "FaultSpec":
         """Scripted down windows ``((start, end), ...)``."""
         return cls(target=target, kind=KIND_CRASH, windows=tuple(windows))
-
-    @classmethod
-    def latency(cls, target: str, mean: float,
-                start: float = 0.0) -> "FaultSpec":
-        """Exponential per-call transit latency with the given mean."""
-        return cls(target=target, kind=KIND_LATENCY, mean_latency=mean,
-                   start=start)
-
-    @classmethod
-    def loss(cls, target: str, prob: float, start: float = 0.0) -> "FaultSpec":
-        """Drop each request with probability ``prob``."""
-        return cls(target=target, kind=KIND_LOSS, prob=prob, start=start)
-
-    @classmethod
-    def stall(cls, target: str, prob: float, duration: float,
-              start: float = 0.0) -> "FaultSpec":
-        """Handler runs but its reply is ``duration`` seconds late."""
-        return cls(target=target, kind=KIND_STALL, prob=prob,
-                   duration=duration, start=start)
 
     @classmethod
     def link_down(cls, link_id: str, mtbf: float, mttr: float,
@@ -193,10 +139,10 @@ class FaultSpec:
 class FaultPlan:
     """A seeded set of fault specs: the whole fault model of one run.
 
-    ``seed`` drives every random draw the injector makes (window
-    lengths, loss/stall coin flips, latency samples) through
-    per-target, per-purpose RNG streams, so adding a fault on one
-    endpoint never perturbs the schedule of another.
+    ``seed`` drives every random draw the injector makes (the up and
+    down holds of MTBF/MTTR schedules) through one RNG stream per
+    target and kind, so adding a fault on one endpoint or link never
+    perturbs the schedule of another.
     """
 
     specs: Tuple[FaultSpec, ...] = ()
@@ -220,8 +166,8 @@ class FaultPlan:
     def targets(self) -> Tuple[str, ...]:
         return tuple(sorted({spec.target for spec in self.specs}))
 
-    def build(self, observer=None):
+    def build(self):
         """Instantiate the injector for one run."""
         from repro.faults.injector import FaultInjector
 
-        return FaultInjector(self, observer=observer)
+        return FaultInjector(self)

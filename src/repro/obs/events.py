@@ -45,10 +45,9 @@ LIB_DEREGISTERED = "lib.deregistered"
 LIB_CONN_OPENED = "lib.conn_opened"
 LIB_REREGISTERED = "lib.reregistered"  # queued registration drained
 LIB_FAILOVER = "lib.failover"          # promoted the standby controller
-# Fault injection (repro.faults) + resilient RPC
+# Fault injection (repro.faults)
 FAULT_CRASH = "faults.crash"           # endpoint entered a down window
 FAULT_RECOVER = "faults.recover"       # ... and came back
-FAULT_INJECTED = "faults.injected"     # one call hit loss/stall
 # Dynamic topology (repro.simnet under link faults)
 LINK_DOWN = "link.down"                # a link transitioned down
 LINK_UP = "link.up"                    # ... and came back up
@@ -91,7 +90,7 @@ EVENT_TYPES = frozenset({
     REALLOCATION, SOLVE_BEGIN, SOLVE_END, PORT_PROGRAMMED, PORT_RESET,
     LIB_REGISTERED, LIB_DEREGISTERED, LIB_CONN_OPENED,
     LIB_REREGISTERED, LIB_FAILOVER,
-    FAULT_CRASH, FAULT_RECOVER, FAULT_INJECTED,
+    FAULT_CRASH, FAULT_RECOVER,
     LINK_DOWN, LINK_UP, FLOW_REROUTED,
     SERVICE_REQUEST, SERVICE_REJECTED, SERVICE_DRAIN,
     ONLINE_SAMPLE, ONLINE_REFIT, ONLINE_DRIFT, ONLINE_FALLBACK,

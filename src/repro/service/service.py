@@ -73,10 +73,8 @@ class AllocationService:
         self,
         fabric: FluidFabric,
         controller: SabaController,
-        bus: Optional[RpcBus] = None,
         quotas: Optional[ServiceQuotas] = None,
         observer: Optional[Observer] = None,
-        multipath: bool = False,
     ) -> None:
         self.fabric = fabric
         self.controller = controller
@@ -85,10 +83,7 @@ class AllocationService:
             observer if observer is not None
             else getattr(fabric, "observer", NULL_OBSERVER)
         )
-        self.library = SabaLibrary(
-            fabric, controller, bus=bus, multipath=multipath,
-            observer=self.observer,
-        )
+        self.library = SabaLibrary(fabric, controller, observer=self.observer)
         self.bus.register(SERVICE_ENDPOINT, self.rpc_methods(), replace=True)
         # -- admission state ------------------------------------------
         self._draining = False

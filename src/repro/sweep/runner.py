@@ -7,12 +7,13 @@ through three stages:
    (:func:`repro.sweep.cache.cache_key`) is probed first, so a warm
    re-run computes nothing;
 2. **execution** -- each remaining task runs exactly once, over a
-   ``concurrent.futures.ProcessPoolExecutor`` (``jobs >= 2``) or
-   in-process (``jobs == 1``, the debuggable serial path: no
-   subprocesses, breakpoints and coverage work).  Tasks are
-   deterministic, so a failed task would fail again: the first
-   failure stops the sweep with a :class:`~repro.errors.SweepError`
-   naming the task and its exception;
+   ``concurrent.futures.ProcessPoolExecutor`` (``jobs >= 2``, at most
+   ``jobs`` tasks submitted at a time) or in-process (``jobs == 1``,
+   the debuggable serial path: no subprocesses, breakpoints and
+   coverage work).  Tasks are deterministic, so a failed task would
+   fail again: the first failure stops the sweep with a
+   :class:`~repro.errors.SweepError` naming the task and its
+   exception, once the tasks still running have finished;
 3. **ordered reduction** -- results are assembled in *spec order*
    regardless of completion order and handed to ``spec.reduce``, which
    is what makes ``--jobs 1`` and ``--jobs N`` bit-identical.
@@ -27,9 +28,10 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import SweepError
@@ -113,8 +115,8 @@ class SweepRunner:
         """Execute ``spec`` and reduce its results.
 
         Raises :class:`SweepError` on the first task that fails, after
-        cancelling the tasks no worker has taken yet and waiting for
-        the rest, so no task of this sweep outlives the call.
+        waiting for the tasks still running (no other task is started),
+        so no task of this sweep outlives the call.
         """
         t0 = time.perf_counter()
         obs = self.observer
@@ -204,21 +206,29 @@ class SweepRunner:
         """Start each pending task once; yield ``(task, key, outcome)``.
 
         Without a pool, tasks run in-process in spec order, each when
-        its outcome is called; with one, they are all submitted up
-        front and yielded in completion order.
+        its outcome is called.  With one, at most ``jobs`` tasks are
+        submitted at a time, topped up once the finished ones are
+        settled, and outcomes are yielded in completion order: a task
+        the pool has taken cannot be cancelled, so a failure then
+        waits only for the tasks already running.
         """
         if pool is None:
             for task, key in pending:
                 self._emit_started(spec, task, t0)
                 yield task, key, partial(_execute_task, task)
             return
-        futures = {}
-        for task, key in pending:
-            self._emit_started(spec, task, t0)
-            futures[pool.submit(_execute_task, task)] = (task, key)
-        for future in as_completed(futures):
-            task, key = futures[future]
-            yield task, key, future.result
+        waiting = iter(pending)
+        running: Dict[Future, Tuple[Task, str]] = {}
+        while True:
+            for task, key in islice(waiting, self.jobs - len(running)):
+                self._emit_started(spec, task, t0)
+                running[pool.submit(_execute_task, task)] = (task, key)
+            if not running:
+                return
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                task, key = running.pop(future)
+                yield task, key, future.result
 
     def _emit_started(self, spec: SweepSpec, task: Task, t0: float) -> None:
         if self.observer.enabled:

@@ -25,7 +25,7 @@ def test_saba_beats_baseline_without_faults(faults_result):
                  if p.mtbf is None][0]
         assert clean.speedup > 1.05
         assert clean.counters["dropped_control_messages"] == 0
-        assert clean.counters["rpc_retries"] == 0
+        assert clean.counters["rpc_unavailable"] == 0
 
 
 def test_speedup_degrades_gracefully_with_downtime(faults_result):
@@ -51,6 +51,17 @@ def test_faulted_points_exercise_the_recovery_machinery(faults_result):
     assert heavy.counters["faults_crash"] > 0
     # Nothing is left stranded once the run completes.
     assert heavy.counters["pending_registrations"] == 0
+
+
+def test_each_refused_call_is_one_attempt(faults_result):
+    """A call the crashed controller refuses is not re-sent: the
+    simulated clock stands still during a call, so a retry would meet
+    the same crash window.  Each refusal is one injected crash and one
+    dropped control message."""
+    for p in faults_result.series("saba"):
+        c = p.counters
+        assert (c["rpc_unavailable"] == c.get("faults_crash", 0.0)
+                == c["dropped_control_messages"])
 
 
 def test_failover_drops_less_than_fail_open(faults_result):

@@ -1,7 +1,15 @@
 """Determinism and semantics of the fault injector."""
 
+from repro.cluster.jobs import Job
+from repro.cluster.runtime import CoRunExecutor
+from repro.core.controller import SabaController
+from repro.core.library import CONTROLLER_ENDPOINT, SabaLibrary
+from repro.core.rpc import RpcBus
 from repro.faults import CLEAN_FATE, FaultPlan, FaultSpec
+from repro.obs import Observer
 from repro.simnet.engine import Simulator
+from repro.simnet.topology import single_switch
+from repro.workloads.catalog import CATALOG
 
 
 class _Clock:
@@ -17,7 +25,7 @@ def _injector(*specs, seed=0):
 
 def test_unknown_target_is_clean_and_free():
     inj = _injector(FaultSpec.crash("ctrl", mtbf=1.0, mttr=1.0))
-    assert inj.fate_of("other", "m") is CLEAN_FATE
+    assert inj.fate_of("other") is CLEAN_FATE
     assert inj.down_window("other") is None
 
 
@@ -26,13 +34,13 @@ def test_explicit_windows_are_half_open():
     clock = _Clock()
     inj.bind(clock)
     clock.now = 0.5
-    assert inj.fate_of("ctrl", "m").down_until is None
+    assert inj.fate_of("ctrl").down_until is None
     clock.now = 1.0
-    assert inj.fate_of("ctrl", "m").down_until == 2.0
+    assert inj.fate_of("ctrl").down_until == 2.0
     # At exactly the window end the endpoint is back: a recovery
     # drain scheduled at ``recover_at`` always finds it live.
     clock.now = 2.0
-    assert inj.fate_of("ctrl", "m").down_until is None
+    assert inj.fate_of("ctrl").down_until is None
 
 
 def test_stochastic_windows_deterministic_in_seed():
@@ -57,55 +65,23 @@ def test_stochastic_windows_deterministic_in_seed():
         assert end > start >= 0.0
 
 
-def test_fate_sequence_deterministic_in_seed():
-    def fates(seed, n=50):
-        inj = _injector(
-            FaultSpec.loss("ctrl", prob=0.3),
-            FaultSpec.stall("ctrl", prob=0.2, duration=1.0),
-            FaultSpec.latency("ctrl", mean=0.01),
-            seed=seed,
-        )
-        clock = _Clock()
-        inj.bind(clock)
-        out = []
-        for i in range(n):
-            clock.now = float(i)
-            out.append(inj.fate_of("ctrl", "m"))
-        return out
-
-    assert fates(1) == fates(1)
-    assert fates(1) != fates(2)
-
-
-def test_fixed_draw_count_keeps_kinds_independent():
-    """Adding a stall fault must not change which calls are lost."""
-
-    def lost_pattern(with_stall):
-        specs = [FaultSpec.loss("ctrl", prob=0.3)]
-        if with_stall:
-            specs.append(FaultSpec.stall("ctrl", prob=0.5, duration=1.0))
-        inj = _injector(*specs, seed=4)
-        return [inj.fate_of("ctrl", "m").lost for _ in range(100)]
-
-    assert lost_pattern(False) == lost_pattern(True)
-
-
 def test_per_target_streams_are_independent():
     """A second target's faults never perturb the first's schedule."""
 
-    def fates_for_a(extra_target):
-        specs = [FaultSpec.loss("a", prob=0.4)]
+    def windows_of_a(extra_target):
+        specs = [FaultSpec.crash("a", mtbf=5.0, mttr=1.0)]
         if extra_target:
-            specs.append(FaultSpec.loss("b", prob=0.4))
+            specs.append(FaultSpec.crash("b", mtbf=5.0, mttr=1.0))
         inj = _injector(*specs, seed=9)
         out = []
-        for _ in range(60):
-            out.append(inj.fate_of("a", "m").lost)
+        for i in range(200):
+            out.append(inj.down_window("a", i * 0.25))
             if extra_target:
-                inj.fate_of("b", "m")
+                inj.down_window("b", i * 0.25)
         return out
 
-    assert fates_for_a(False) == fates_for_a(True)
+    assert any(windows_of_a(False))
+    assert windows_of_a(False) == windows_of_a(True)
 
 
 def test_injector_counts_injections():
@@ -115,8 +91,8 @@ def test_injector_counts_injections():
     clock = _Clock()
     inj.bind(clock)
     clock.now = 5.0
-    inj.fate_of("ctrl", "m")
-    inj.fate_of("ctrl", "m")
+    inj.fate_of("ctrl")
+    inj.fate_of("ctrl")
     assert inj.stats["crash"] == 2
 
 
@@ -131,11 +107,31 @@ def test_bind_to_real_simulator():
     assert sim.now == 0.0
 
 
-def test_per_call_start_keeps_early_calls_clean():
-    inj = _injector(FaultSpec.loss("ctrl", prob=1.0, start=10.0))
-    clock = _Clock()
-    inj.bind(clock)
-    clock.now = 5.0
-    assert not inj.fate_of("ctrl", "m").lost
-    clock.now = 10.0
-    assert inj.fate_of("ctrl", "m").lost
+def test_co_run_observer_records_the_outage(small_table):
+    """The executor binds the injector to its simulator, whose observer
+    then sees the controller's outage: the job's registration at t=0 is
+    refused, and the recovery drain at the window's end re-registers
+    it."""
+    topo = single_switch(4, capacity=100.0)
+    ctrl = SabaController(small_table)
+    injector = _injector(FaultSpec.outage(CONTROLLER_ENDPOINT, ((0.0, 0.5),)))
+    bus = RpcBus(faults=injector)
+    observer = Observer()
+    events = []
+    observer.bus.subscribe(
+        lambda e: events.append((e.type, e.time)),
+        types=["faults.crash", "faults.recover"],
+    )
+    libraries = []
+
+    def connections(fabric):
+        libraries.append(SabaLibrary(fabric, ctrl, bus=bus, fail_open=True))
+        return libraries[0]
+
+    job = Job("lr0", CATALOG["LR"].instantiate(n_instances=2), "LR",
+              topo.servers[:2])
+    CoRunExecutor(topo, policy=ctrl, connections_factory=connections,
+                  observer=observer, faults=injector).run([job])
+    assert bus.stats.unavailable == 1
+    assert libraries[0].reregistrations == 1
+    assert events == [("faults.crash", 0.0), ("faults.recover", 0.5)]

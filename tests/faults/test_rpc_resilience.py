@@ -1,15 +1,8 @@
-"""Request envelopes, timeouts, and at-most-once retry on the bus."""
+"""One attempt per call: the bus delivers it or refuses it."""
 
 import pytest
 
-from repro.core.rpc import (
-    RpcBus,
-    RpcError,
-    RpcRequest,
-    RpcRetryPolicy,
-    RpcTimeout,
-    RpcUnavailable,
-)
+from repro.core.rpc import RpcBus, RpcError, RpcUnavailable
 from repro.faults import FaultPlan, FaultSpec
 
 
@@ -18,28 +11,10 @@ class _Clock:
         self.now = 0.0
 
 
-def _bus(*specs, seed=0, **bus_kwargs):
+def _bus(*specs, seed=0):
     injector = FaultPlan(tuple(specs), seed=seed).build()
     injector.bind(_Clock())
-    return RpcBus(faults=injector, **bus_kwargs), injector
-
-
-def test_request_envelope_returns_response():
-    bus = RpcBus()
-    bus.register("ctrl", {"add": lambda a, b: a + b})
-    resp = bus.request("ctrl", "add", a=1, b=2)
-    assert resp.value == 3
-    assert resp.attempts == 1
-    assert resp.latency == 0.0
-    assert bus.stats.submitted == bus.stats.delivered == 1
-
-
-def test_submit_accepts_prebuilt_request():
-    bus = RpcBus()
-    bus.register("ctrl", {"echo": lambda x: x})
-    resp = bus.submit(RpcRequest(target="ctrl", method="echo",
-                                 kwargs={"x": "hi"}))
-    assert resp.value == "hi"
+    return RpcBus(faults=injector), injector
 
 
 def test_unavailable_carries_recover_at():
@@ -54,120 +29,14 @@ def test_unavailable_carries_recover_at():
     assert bus.call_counts[("ctrl", "m")] == 0
 
 
-def test_retry_recovers_from_loss():
-    bus, inj = _bus(
-        FaultSpec.loss("ctrl", prob=0.6),
-        seed=1,
-        default_timeout=1.0,
-        retry=RpcRetryPolicy(max_attempts=8),
-    )
-    calls = []
-    bus.register("ctrl", {"m": lambda: calls.append(1) or len(calls)})
-    resp = bus.request("ctrl", "m")
-    assert resp.value == len(calls) == 1  # delivered exactly once
-    if resp.attempts > 1:
-        # Burned deadlines and backoff show up as virtual latency.
-        assert resp.latency > 0.0
-        assert bus.stats.retries == resp.attempts - 1
-        assert bus.stats.backoff_seconds > 0.0
-
-
-def test_loss_without_timeout_fails_immediately():
-    bus, _ = _bus(FaultSpec.loss("ctrl", prob=1.0))
-    bus.register("ctrl", {"m": lambda: None})
-    with pytest.raises(RpcTimeout) as info:
-        bus.call("ctrl", "m")
-    assert info.value.executed is False
-    assert bus.call_counts[("ctrl", "m")] == 0
-
-
-def test_retries_are_bounded():
-    bus, _ = _bus(
-        FaultSpec.loss("ctrl", prob=1.0),
-        default_timeout=0.5,
-        retry=RpcRetryPolicy(max_attempts=3),
-    )
-    bus.register("ctrl", {"m": lambda: None})
-    with pytest.raises(RpcTimeout) as info:
-        bus.call("ctrl", "m")
-    assert info.value.attempts == 3
-    assert bus.stats.timeouts == 3
-    assert bus.call_counts[("ctrl", "m")] == 0
-
-
-def test_stalled_handler_times_out_without_retry():
-    """Executed-but-late is at-most-once: the side effect happened, so
-    retrying would duplicate a non-idempotent control operation."""
-    bus, _ = _bus(
-        FaultSpec.stall("ctrl", prob=1.0, duration=5.0),
-        default_timeout=1.0,
-        retry=RpcRetryPolicy(max_attempts=5),
-    )
-    calls = []
-    bus.register("ctrl", {"m": lambda: calls.append(1)})
-    with pytest.raises(RpcTimeout) as info:
-        bus.call("ctrl", "m")
-    assert info.value.executed is True
-    assert len(calls) == 1  # ran once, never retried
-    assert bus.call_counts[("ctrl", "m")] == 1
-
-
-def test_stall_within_deadline_is_delivered():
-    bus, _ = _bus(
-        FaultSpec.stall("ctrl", prob=1.0, duration=0.2),
-        default_timeout=1.0,
-    )
-    bus.register("ctrl", {"m": lambda: "ok"})
-    resp = bus.request("ctrl", "m")
-    assert resp.value == "ok"
-    assert resp.latency >= 0.2
-
-
-def test_latency_fault_accumulates_in_response():
-    bus, _ = _bus(FaultSpec.latency("ctrl", mean=0.05), seed=2)
-    bus.register("ctrl", {"m": lambda: "ok"})
-    resp = bus.request("ctrl", "m")
-    assert resp.value == "ok"
-    assert resp.latency > 0.0
-    assert bus.stats.latency_seconds == pytest.approx(resp.latency)
-
-
-def test_missing_method_is_not_retried():
-    bus, _ = _bus(
-        FaultSpec.loss("ctrl", prob=0.0001),
-        retry=RpcRetryPolicy(max_attempts=5),
-    )
+def test_missing_method_raises_plain_rpc_error():
+    bus = RpcBus()
     bus.register("ctrl", {})
     with pytest.raises(RpcError) as info:
         bus.call("ctrl", "nope")
-    assert not isinstance(info.value, (RpcTimeout, RpcUnavailable))
-
-
-def test_unavailable_and_timeout_are_rpc_errors():
-    # Older call sites catch RpcError; the typed errors must keep
-    # flowing into those handlers.
-    assert issubclass(RpcUnavailable, RpcError)
-    assert issubclass(RpcTimeout, RpcError)
-
-
-def test_retry_policy_validation():
-    with pytest.raises(RpcError):
-        RpcRetryPolicy(max_attempts=0)
-    with pytest.raises(RpcError):
-        RpcRetryPolicy(jitter=2.0)
-
-
-def test_no_faults_no_timeout_no_rng():
-    """A fault-free bus never times out, retries, or draws random
-    numbers -- the bit-identity guarantee for existing experiments."""
-    bus = RpcBus(default_timeout=1e-9, retry=RpcRetryPolicy(max_attempts=5))
-    bus.register("ctrl", {"m": lambda: "ok"})
-    state_before = bus._jitter_rng.getstate()
-    resp = bus.request("ctrl", "m")
-    assert resp.value == "ok"
-    assert resp.attempts == 1 and resp.latency == 0.0
-    assert bus._jitter_rng.getstate() == state_before
-    assert bus.stats.timeouts == bus.stats.retries == 0
+    assert not isinstance(info.value, RpcUnavailable)
+    assert bus.stats.unavailable == bus.stats.delivered == 0
+    assert not bus.call_counts
 
 
 def test_register_replace_and_unregister_bool():

@@ -18,10 +18,6 @@ def test_named_constructors_build_valid_specs():
     assert FaultSpec.outage("ctrl", ((1.0, 2.0), (5.0, 6.0))).windows == (
         (1.0, 2.0), (5.0, 6.0),
     )
-    assert FaultSpec.latency("ctrl", mean=0.1).mean_latency == 0.1
-    assert FaultSpec.loss("ctrl", prob=0.5).prob == 0.5
-    stall = FaultSpec.stall("ctrl", prob=0.2, duration=1.5)
-    assert stall.prob == 0.2 and stall.duration == 1.5
 
 
 @pytest.mark.parametrize("bad", [
@@ -34,10 +30,7 @@ def test_named_constructors_build_valid_specs():
          windows=((0.0, 1.0),)),                          # both modes
     dict(target="c", kind="crash", windows=((2.0, 1.0),)),  # empty window
     dict(target="c", kind="crash", windows=((0.0, 2.0), (1.0, 3.0))),
-    dict(target="c", kind="latency", mean_latency=0.0),
-    dict(target="c", kind="loss", prob=0.0),
-    dict(target="c", kind="loss", prob=1.5),
-    dict(target="c", kind="stall", prob=0.5, duration=0.0),
+    dict(target="c", kind="loss", mtbf=1.0, mttr=1.0),    # unknown kind
     dict(target="c", kind="crash", mtbf=1.0, mttr=1.0, start=-1.0),
 ])
 def test_invalid_specs_rejected(bad):
@@ -46,23 +39,21 @@ def test_invalid_specs_rejected(bad):
 
 
 def test_every_kind_is_constructible():
-    assert set(FAULT_KINDS) == {
-        "crash", "latency", "loss", "stall", "link_down",
-    }
+    assert set(FAULT_KINDS) == {"crash", "link_down"}
 
 
 def test_plan_rejects_duplicate_target_kind():
     with pytest.raises(FaultError):
         FaultPlan((
-            FaultSpec.loss("ctrl", prob=0.1),
-            FaultSpec.loss("ctrl", prob=0.2),
+            FaultSpec.crash("ctrl", mtbf=5.0, mttr=1.0),
+            FaultSpec.outage("ctrl", ((1.0, 2.0),)),
         ))
 
 
 def test_plan_allows_different_kinds_on_one_target():
     plan = FaultPlan((
-        FaultSpec.loss("ctrl", prob=0.1),
-        FaultSpec.stall("ctrl", prob=0.1, duration=1.0),
+        FaultSpec.outage("ctrl", ((1.0, 2.0),)),
+        FaultSpec.link_flap("ctrl", ((1.0, 2.0),)),
         FaultSpec.crash("other", mtbf=5.0, mttr=1.0),
     ), seed=3)
     assert plan.targets == ("ctrl", "other")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.profiler import OfflineProfiler
@@ -144,6 +146,25 @@ def test_a_failing_task_runs_once_and_stops_the_sweep(tmp_path, jobs):
         SweepRunner(jobs=jobs, observer=observer).run(spec)
     assert counter.read_bytes() == b"x"
     assert failed == ["flaky"]
+
+
+def test_a_failing_parallel_sweep_waits_only_for_running_tasks(tmp_path):
+    # At most ``jobs`` tasks are in the pool: when the first task
+    # fails, one sleeper is running and the other five have not been
+    # submitted, so the error surfaces after about one sleeper.
+    tasks = (
+        Task(name="flaky", fn=flaky,
+             params={"counter_path": str(tmp_path / "calls"),
+                     "fail_times": 99, "value": "never"}),
+    ) + tuple(
+        Task(name=f"sleep:{i}", fn=sleeper,
+             params={"seconds": 1.0, "value": i})
+        for i in range(6)
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(SweepError, match="task 'flaky' failed"):
+        SweepRunner(jobs=2).run(SweepSpec(name="stop", tasks=tasks))
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_observer_sees_sweep_events_and_metrics():
