@@ -20,12 +20,27 @@ max-min fairness -- :func:`max_min_rates` implements exact progressive
 filling independently, the test suite pins the two against each other
 on random networks, and an all-:class:`FairScheduler` network
 short-circuits to it directly.
+
+The per-component solver (:func:`solve_component`, which the fabric
+calls on every flow start, finish and port reprogram) binds each
+link's discipline once per solve through ``kernel_spec``: member
+queues and weights are read once, and targets come from the same fill
+functions (:func:`_wfq_fill`, :func:`_priority_fill`) as the
+schedulers' ``allocate``, so each discipline's arithmetic exists once.
+It reuses a link's targets while its candidate count is unchanged and,
+when no member has a finite demand limit, replays the water-filling
+operations without sorts.  Neither shortcut changes a bit: the rules
+that make that true are in :func:`solve_component`, and
+``tests/simnet/test_solver_oracle.py`` holds the solver as it was
+before them and requires equal rates on random components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.errors import SimulationError
 from repro.simnet.flows import Flow
@@ -35,16 +50,18 @@ from repro.simnet.flows import Flow
 QueueOfFlow = Callable[[str, Flow], int]
 
 #: How a scheduler exposes its discipline to the vectorized kernels
-#: (:mod:`repro.simnet.kernels`): a ``(kind, per-member group ids,
-#: group weights)`` triple.  ``kind`` is ``"fair"`` (one shared queue,
-#: per-flow max-min), ``"wfq"`` (weighted fair queueing: group ids are
-#: queue indices, weights map queue -> WFQ weight) or ``"prio"``
-#: (strict priority: group ids are priority classes, lower served
-#: first).  ``None`` means the scheduler cannot be vectorized and its
-#: component must use the object solver.
+#: (:mod:`repro.simnet.kernels`) and to :func:`solve_component`: a
+#: ``(kind, per-member group ids, group weights)`` triple.  ``kind`` is
+#: ``"fair"`` (one shared queue, per-flow max-min), ``"wfq"`` (weighted
+#: fair queueing: group ids are queue indices, weights map queue -> WFQ
+#: weight) or ``"prio"`` (strict priority: group ids are priority
+#: classes, lower served first).  ``None`` means the scheduler cannot
+#: be vectorized: its component must use the object solver, which
+#: calls its ``allocate``.
 KernelSpec = Tuple[str, Optional[List[int]], Optional[Dict[int, float]]]
 
 _EPS = 1e-9
+_INF = float("inf")
 
 
 def water_fill(capacity: float, demands: Sequence[float]) -> List[float]:
@@ -62,6 +79,8 @@ def water_fill(capacity: float, demands: Sequence[float]) -> List[float]:
         return []
     if capacity <= 0:
         return [0.0] * n
+    if n == 1:
+        return [min(demands[0], capacity)]  # capacity / 1 is capacity
     order = sorted(range(n), key=lambda i: demands[i])
     alloc = [0.0] * n
     remaining = capacity
@@ -101,7 +120,7 @@ def weighted_water_fill(
     # handle them by a final unweighted fill over the leftovers.
     remaining = capacity
     while active:
-        total_w = sum(weights[i] for i in active)
+        total_w = sum([weights[i] for i in active])
         # Find the smallest normalised demand; grant every entry whose
         # demand is below its proportional share, then recurse.
         fill_level = remaining / total_w
@@ -128,13 +147,133 @@ def weighted_water_fill(
     return alloc
 
 
+#: A link's entries grouped by queue (WFQ) or class (priority) in
+#: service order: ``(weight, entries)`` pairs, ascending group id,
+#: entries in input order (the weight is 0.0 for priority classes).
+#: An entry is a position in ``allocate``'s flow list, or a flow id in
+#: the solver; demands and shares are indexed by entry.
+Groups = List[Tuple[float, List]]
+Demands = Union[Sequence[float], Mapping[int, float]]
+Shares = Union[List[float], Dict[int, float]]
+
+
+def _grouped(
+    ids: Sequence[int],
+    entries: Sequence,
+    weights: Optional[Mapping[int, float]] = None,
+) -> Groups:
+    """``entries`` grouped by their parallel group ``ids``; ``weights``
+    (WFQ) must cover every id."""
+    if ids and ids.count(ids[0]) == len(ids):  # one group
+        g = ids[0]
+        return [(weights[g] if weights is not None else 0.0, list(entries))]
+    by_group: Dict[int, List] = {}
+    for entry, g in zip(entries, ids):
+        by_group.setdefault(g, []).append(entry)
+    return [
+        (weights[g] if weights is not None else 0.0, by_group[g])
+        for g in sorted(by_group)
+    ]
+
+
+def _equal_shares(capacity: float, n: int) -> List[float]:
+    """``water_fill(capacity, [inf] * n)``, operation for operation:
+    with equal demands its sort is the identity and, for a finite
+    positive ``capacity``, every grant is the running
+    ``remaining / left``."""
+    if not 0.0 < capacity < _INF:
+        return water_fill(capacity, [_INF] * n)
+    shares: List[float] = []
+    for left in range(n, 0, -1):
+        share = capacity / left
+        shares.append(share)
+        capacity -= share
+    return shares
+
+
+def _wfq_fill(
+    capacity: float,
+    groups: Groups,
+    demand: Demands,
+    out: Shares,
+    unbounded: bool = False,
+) -> None:
+    """Two-level WFQ: weighted max-min of ``capacity`` across the
+    queues (a queue demands the sum of its entries' ``demand``), then
+    max-min within each queue; writes ``out[entry]``.
+
+    ``unbounded`` (every demand is ``inf``) replays the same
+    operations without sorts: no queue is ever satisfied, so each
+    weighted queue gets ``fill * weight`` in one round, and the
+    zero-weight queues split ``capacity`` only when no weighted queue
+    is present.  That needs every ``fill * weight`` finite; otherwise
+    the queue level runs ``weighted_water_fill`` itself.
+
+    >>> out = [0.0] * 3
+    >>> _wfq_fill(12.0, [(1.0, [0]), (2.0, [1, 2])], [100.0, 100.0, 1.0], out)
+    >>> out
+    [4.0, 7.0, 1.0]
+    """
+    q_alloc: Optional[List[float]] = None
+    if unbounded:
+        weighted = [w for w, _ in groups if w > 0]
+        if capacity > 0 and weighted:
+            fill = capacity / sum(weighted)
+            q_alloc = [fill * w if w > 0 else 0.0 for w, _ in groups]
+            if not sum(q_alloc) < _INF:  # an inf or nan share
+                q_alloc = None
+        elif capacity > _EPS:
+            q_alloc = _equal_shares(capacity, len(groups))
+        else:
+            q_alloc = [0.0] * len(groups)
+    if q_alloc is None:
+        q_alloc = weighted_water_fill(
+            capacity,
+            [sum([demand[e] for e in entries]) for _, entries in groups],
+            [w for w, _ in groups],
+        )
+    for (_, entries), q_capacity in zip(groups, q_alloc):
+        if unbounded:
+            inner = _equal_shares(q_capacity, len(entries))
+        else:
+            inner = water_fill(q_capacity, [demand[e] for e in entries])
+        for e, share in zip(entries, inner):
+            out[e] = share
+
+
+def _priority_fill(
+    capacity: float,
+    groups: Groups,
+    demand: Demands,
+    out: Shares,
+    unbounded: bool = False,
+) -> None:
+    """Strict priority: each class in turn is max-min filled from what
+    the classes before it left; writes ``out[entry]``.  ``unbounded``
+    as in :func:`_wfq_fill`.
+
+    >>> out = [0.0] * 3
+    >>> _priority_fill(10.0, [(0.0, [1]), (0.0, [0, 2])], [100.0, 4.0, 100.0], out)
+    >>> out
+    [3.0, 4.0, 3.0]
+    """
+    remaining = capacity
+    for _, entries in groups:
+        if unbounded:
+            inner = _equal_shares(remaining, len(entries))
+        else:
+            inner = water_fill(remaining, [demand[e] for e in entries])
+        for e, share in zip(entries, inner):
+            out[e] = share
+        remaining -= sum(inner)
+        if remaining <= _EPS:
+            remaining = 0.0  # lower priorities receive zero
+
+
 #: Maps the number of flows sharing one congestion-control domain (a
 #: queue) to the fraction of its bandwidth the transport actually
 #: delivers.  ``None`` models an ideal transport.
 EfficiencyFn = Optional[Callable[[int], float]]
-
-#: Shared empty offer map (links with no growing candidates).
-_NO_OFFERS: Dict[int, float] = {}
 
 
 def fecn_collapse(alpha: float) -> Callable[[int], float]:
@@ -204,7 +343,9 @@ class LinkScheduler:
         return capacity
 
     def kernel_spec(self, flows: Sequence[Flow]) -> Optional[KernelSpec]:
-        """Describe this link's discipline for the vectorized kernels.
+        """Describe this link's discipline for the vectorized kernels
+        and the object solver, which both compute from the spec rather
+        than :meth:`allocate`.
 
         Returns ``None`` when the discipline cannot be expressed as
         one of the three array kernels, which routes the whole
@@ -294,28 +435,26 @@ class WFQScheduler(LinkScheduler):
         return capacity * mix
 
     def kernel_spec(self, flows: Sequence[Flow]) -> Optional[KernelSpec]:
+        queues, weights = self._queues(flows)
+        return ("wfq", queues, weights)
+
+    def _queues(
+        self, flows: Sequence[Flow]
+    ) -> Tuple[List[int], Dict[int, float]]:
+        """Each flow's queue, and each of those queues' weight."""
         queues = [self._queue_of(f) for f in flows]
         weights = {
             q: max(0.0, float(self._weight_of(q))) for q in set(queues)
         }
-        return ("wfq", queues, weights)
+        return queues, weights
 
     def allocate(
         self, capacity: float, flows: Sequence[Flow], demands: Sequence[float]
     ) -> List[float]:
-        by_queue: Dict[int, List[int]] = {}
-        for i, flow in enumerate(flows):
-            by_queue.setdefault(self._queue_of(flow), []).append(i)
-        queues = sorted(by_queue)
-        q_weights = [max(0.0, float(self._weight_of(q))) for q in queues]
-        q_demands = [sum(demands[i] for i in by_queue[q]) for q in queues]
-        q_alloc = weighted_water_fill(capacity, q_demands, q_weights)
+        queues, weights = self._queues(flows)
         shares = [0.0] * len(flows)
-        for q_idx, q in enumerate(queues):
-            members = by_queue[q]
-            inner = water_fill(q_alloc[q_idx], [demands[i] for i in members])
-            for j, i in enumerate(members):
-                shares[i] = inner[j]
+        groups = _grouped(queues, range(len(flows)), weights)
+        _wfq_fill(capacity, groups, demands, shares)
         return shares
 
 
@@ -358,19 +497,10 @@ class PriorityScheduler(LinkScheduler):
     def allocate(
         self, capacity: float, flows: Sequence[Flow], demands: Sequence[float]
     ) -> List[float]:
-        by_prio: Dict[int, List[int]] = {}
-        for i, flow in enumerate(flows):
-            by_prio.setdefault(self._priority_of(flow), []).append(i)
+        classes = [self._priority_of(f) for f in flows]
         shares = [0.0] * len(flows)
-        remaining = capacity
-        for prio in sorted(by_prio):
-            members = by_prio[prio]
-            inner = water_fill(remaining, [demands[i] for i in members])
-            for j, i in enumerate(members):
-                shares[i] = inner[j]
-            remaining -= sum(inner)
-            if remaining <= _EPS:
-                remaining = 0.0  # lower priorities receive zero
+        groups = _grouped(classes, range(len(flows)))
+        _priority_fill(capacity, groups, demands, shares)
         return shares
 
 
@@ -527,6 +657,83 @@ def network_rates(
     return rates
 
 
+class _BoundLink:
+    """One link's discipline, bound once per component solve.
+
+    The link's ``kernel_spec`` over its members becomes ``groups`` of
+    member flow ids (:data:`Groups`) and the fill that divides a
+    capacity among them: WFQ queues with their weights, priority
+    classes, or -- for a fair link -- one priority class (whose
+    arithmetic is exactly ``water_fill``).  A scheduler with no kernel
+    form keeps its ``allocate``.
+    """
+
+    __slots__ = (
+        "fids", "members", "scheduler", "fill", "groups", "unbounded",
+        "n_cand", "targets",
+    )
+    groups: Groups
+    #: Targets of the last weighted evaluation (see ``n_cand``).
+    targets: Dict[int, float]
+
+    def __init__(
+        self,
+        scheduler: LinkScheduler,
+        members: Sequence[Flow],
+        capped: Set[int],
+    ) -> None:
+        self.fids = fids = [f.flow_id for f in members]
+        self.members = members
+        self.scheduler = scheduler
+        #: No member has a finite demand limit (``capped`` holds the
+        #: component's flows that do).
+        self.unbounded = not capped or capped.isdisjoint(fids)
+        #: Candidate count and targets of the last weighted evaluation.
+        self.n_cand = -1
+        self.fill: Optional[Callable[..., None]] = None
+        extract = getattr(scheduler, "kernel_spec", None)
+        spec = None if extract is None else extract(members)
+        if spec is None:
+            return
+        kind, ids, weights = spec
+        if kind == "fair":
+            self.fill, self.groups = _priority_fill, [(0.0, fids)]
+        elif kind == "wfq":
+            assert ids is not None and weights is not None
+            self.fill, self.groups = _wfq_fill, _grouped(ids, fids, weights)
+        elif kind == "prio":
+            assert ids is not None
+            self.fill, self.groups = _priority_fill, _grouped(ids, fids)
+        else:
+            raise SimulationError(f"unknown kernel spec kind {kind!r}")
+
+    def targets_of(
+        self, usable: float, cand: List[int], limit: Mapping[int, float],
+        growing: Set[int],
+    ) -> Dict[int, float]:
+        """What the scheduler's ``allocate`` grants the candidates
+        ``cand`` (growing members, in member order) out of ``usable``,
+        by flow id in ``cand`` order."""
+        every = len(cand) == len(self.fids)
+        if self.fill is None:
+            flows = self.members if every else [
+                f for f in self.members if f.flow_id in growing
+            ]
+            demands = [limit[fid] for fid in cand]
+            shares = self.scheduler.allocate(usable, flows, demands)
+            return dict(zip(cand, shares))
+        groups = self.groups
+        if not every:
+            groups = []
+            for weight, fids in self.groups:
+                in_cand = [fid for fid in fids if fid in growing]
+                if in_cand:
+                    groups.append((weight, in_cand))
+        targets = dict.fromkeys(cand, 0.0)
+        self.fill(usable, groups, limit, targets, self.unbounded)
+        return targets
+
+
 def solve_component(
     flows: Sequence[Flow],
     on_link: Mapping[str, Sequence[Flow]],
@@ -545,6 +752,31 @@ def solve_component(
     tolerance is *local* (``tol`` of the component's largest link
     capacity), so the solution is independent of any other traffic --
     the property that makes incremental re-solving exact.
+
+    Each link's discipline is bound once per solve through
+    ``kernel_spec`` (:class:`_BoundLink`): member queues and weights
+    are read once, not once per candidate per round, and the targets
+    come from the same fill functions as the schedulers' ``allocate``.
+    Flow state is frozen during a solve, so every round would read the
+    same values.  A scheduler without a kernel form keeps its
+    ``allocate``.  Two shortcuts change no bit:
+
+    * *Target reuse.*  In the weighted phase a link's targets are
+      recomputed only when its candidate count changed.  ``growing``
+      only shrinks there and blocked flows never gain rate, so an
+      unchanged count means the same candidates, the same blocked
+      usage, hence the same usable capacity and the same targets.
+    * *Unbounded demands.*  When no member of a link has a finite
+      demand limit, its targets (and its mop-up grants) replay the
+      water-filling operations in order without sorts
+      (``unbounded`` in :func:`_wfq_fill` and :func:`_equal_shares`).
+
+    Exactness also rests on order: ``growing`` is a set of flow ids
+    changed in a fixed order (its iteration order fixes the order of
+    the ``used`` accumulations), each queue's share is split one member
+    at a time (``remaining / left``), and every total is a ``sum()``
+    over the same values in the same order (CPython 3.12 compensates
+    float sums, so a hand-rolled loop would round differently).
     """
     # Fast path: unweighted per-flow fairness everywhere (the
     # InfiniBand baseline and ideal max-min) is solved exactly by
@@ -565,6 +797,11 @@ def solve_component(
         f.flow_id: f.demand_limit for f in flows
     }
     path_of: Dict[int, tuple] = {f.flow_id: tuple(f.path) for f in flows}
+    capped = {fid for fid, lim in limit.items() if lim != _INF}
+    links = {
+        lid: _BoundLink(schedulers[lid], members, capped)
+        for lid, members in on_link.items()
+    }
     growing = set(rate)
 
     def _run_rounds(compute_offers) -> None:
@@ -581,27 +818,30 @@ def solve_component(
             if not growing:
                 return
             for lid in touched:
-                members = on_link[lid]
-                candidates = [
-                    f for f in members if f.flow_id in growing
-                ]
-                if not candidates:
-                    offer_at.pop(lid, None)
-                    continue
-                offer_at[lid] = compute_offers(lid, members, candidates)
+                link = links[lid]
+                cand = [fid for fid in link.fids if fid in growing]
+                if cand:
+                    offer_at[lid] = compute_offers(lid, link, cand)
             touched = set()
             added = 0.0
             granted: List[int] = []
             for fid in growing:
+                # min() of the flow's offers along its path, unrolled.
+                # Every link on a growing flow's path holds an offer for
+                # it: the link was evaluated while the flow was growing
+                # (all links are in round one), and any later change to
+                # its candidates touched it.
                 path = path_of[fid]
-                extra = min(
-                    offer_at.get(lid, _NO_OFFERS).get(fid, 0.0)
-                    for lid in path
-                )
+                extra = offer_at[path[0]][fid]
+                for lid in path:
+                    offer = offer_at[lid][fid]
+                    if offer < extra:
+                        extra = offer
                 if extra <= 0.0:
                     continue
                 rate[fid] += extra
-                added = max(added, extra)
+                if extra > added:
+                    added = extra
                 granted.append(fid)
                 for lid in path:
                     used[lid] += extra
@@ -613,26 +853,28 @@ def solve_component(
                     growing.discard(fid)
             for lid in list(touched):
                 if used[lid] >= caps[lid] - eps:
-                    for f in on_link[lid]:
-                        if f.flow_id in growing:
-                            growing.discard(f.flow_id)
-                            touched.update(path_of[f.flow_id])
+                    for fid in links[lid].fids:
+                        if fid in growing:
+                            growing.discard(fid)
+                            touched.update(path_of[fid])
             if added <= eps:
                 return
 
-    def _weighted_offers(lid, members, candidates):
+    def _weighted_offers(lid, link, cand):
         """Main phase: discipline targets minus current holdings."""
-        blocked_usage = 0.0
-        for f in members:
-            if f.flow_id not in growing:
-                blocked_usage += rate[f.flow_id]
-        usable = max(0.0, caps[lid] - blocked_usage)
-        demands = [limit[f.flow_id] for f in candidates]
-        targets = schedulers[lid].allocate(usable, candidates, demands)
-        offers = {
-            f.flow_id: max(0.0, targets[i] - rate[f.flow_id])
-            for i, f in enumerate(candidates)
-        }
+        if len(cand) != link.n_cand:  # else the targets still hold
+            blocked_usage = 0.0
+            for fid in link.fids:
+                if fid not in growing:
+                    blocked_usage += rate[fid]
+            usable = max(0.0, caps[lid] - blocked_usage)
+            link.n_cand = len(cand)
+            link.targets = link.targets_of(usable, cand, limit, growing)
+        # ``d if d > 0.0 else 0.0`` is ``max(0.0, d)``, bit for bit.
+        offers = {}
+        for fid, target in link.targets.items():
+            d = target - rate[fid]
+            offers[fid] = d if d > 0.0 else 0.0
         # A flow may already hold more than this round's target for it
         # (targets shrink as the candidate set changes), and held
         # bandwidth is never reclaimed -- so cap the round's total
@@ -644,14 +886,16 @@ def solve_component(
             offers = {fid: o * factor for fid, o in offers.items()}
         return offers
 
-    def _mopup_offers(lid, members, candidates):
+    def _mopup_offers(lid, link, cand):
         """Mop-up phase: leftover capacity, per-flow fair."""
         residual = max(0.0, caps[lid] - used[lid])
-        headrooms = [
-            limit[f.flow_id] - rate[f.flow_id] for f in candidates
-        ]
-        grants = water_fill(residual, headrooms)
-        return {f.flow_id: grants[i] for i, f in enumerate(candidates)}
+        if link.unbounded:
+            grants = _equal_shares(residual, len(cand))
+        else:
+            grants = water_fill(
+                residual, [limit[fid] - rate[fid] for fid in cand]
+            )
+        return dict(zip(cand, grants))
 
     _run_rounds(_weighted_offers)
 

@@ -15,9 +15,9 @@ flows in start order, the partition the full-solve oracle
   discovery, plus ``select()`` sub-batches;
 * deterministic edge cases for slot recycling, re-adds, adjacency
   segment relocation and buffer compaction;
-* end-to-end fabric runs (fair and WFQ policies, link faults via
-  ``set_link_state``) whose object-solver finish times are pinned bit
-  for bit, with the vector and auto solvers within 1e-9.
+* end-to-end fabric runs (fair, WFQ and Saba-shaped policies, link
+  faults via ``set_link_state``) whose object-solver finish times are
+  pinned bit for bit, with the vector and auto solvers within 1e-9.
 """
 
 import json
@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.pipeline import make_port_scheduler
 from repro.simnet import fabric as fabric_module
 from repro.simnet.fabric import FluidFabric
 from repro.simnet.fairness import WFQScheduler
@@ -335,12 +336,15 @@ class TestSlotRecycling:
 
 #: Per scenario, flow id -> ``float.hex`` finish time under the object
 #: solver, recorded from the two-index implementation this fabric
-#: replaced; the one-index fabric must reproduce them bit for bit.
+#: replaced (the ``saba`` scenarios: from the object solver before it
+#: bound each link once per solve); the current fabric must reproduce
+#: them bit for bit.
 _PINNED = os.path.join(os.path.dirname(__file__), "fabric_parity_finish.json")
 
 
 class _WFQPolicy:
     name = "wfq-test"
+    rate_caps = True
 
     def __init__(self):
         self._sched = WFQScheduler(
@@ -361,6 +365,42 @@ class _WFQPolicy:
         pass
 
 
+class _SabaShapedPolicy:
+    """The regime Saba runs in: a WFQ scheduler per port from
+    ``make_port_scheduler`` over the port's programmed queue table, FECN
+    collapse derating, a populated zero-weight queue at every port, and
+    no rate caps."""
+
+    name = "saba-shaped-test"
+    rate_caps = False
+
+    def attach(self, fabric):
+        self._fabric = fabric
+        self._schedulers = {}
+        for i, lid in enumerate(sorted(fabric.topology.links)):
+            fabric.topology.port_table(lid).program(
+                {pl: pl % 4 for pl in range(8)},
+                {0: 0.0, 1: 1.0 + i % 3, 2: 2.5, 3: 0.5},
+            )
+
+    def scheduler_of(self, link_id):
+        scheduler = self._schedulers.get(link_id)
+        if scheduler is None:
+            scheduler = self._schedulers[link_id] = make_port_scheduler(
+                self._fabric.topology.port_table(link_id), 0.15
+            )
+        return scheduler
+
+    def on_flow_started(self, flow):
+        pass
+
+    def on_flow_finished(self, flow):
+        pass
+
+
+_POLICIES = {"fair": None, "wfq": _WFQPolicy, "saba": _SabaShapedPolicy}
+
+
 def _run_scenario(solver, seed, policy):
     reset_flow_ids()
     rng = random.Random(seed)
@@ -373,14 +413,17 @@ def _run_scenario(solver, seed, policy):
     if policy is not None:
         fabric.set_policy(policy())
     servers = topo.servers
+    rate_caps = policy is None or policy.rate_caps
     flows = []
     t = 0.0
     for _ in range(90):
         src, dst = rng.sample(servers, 2)
+        size = rng.uniform(1e6, 5e8)
+        pl = rng.randrange(8)
+        rate_cap = rng.choice([None, 2e9, 5e8])
         flow = Flow(
-            src=src, dst=dst, size=rng.uniform(1e6, 5e8),
-            pl=rng.randrange(8),
-            rate_cap=rng.choice([None, 2e9, 5e8]),
+            src=src, dst=dst, size=size, pl=pl,
+            rate_cap=rate_cap if rate_caps else None,
             aux_rate=rng.choice([0.0, 1e6]),
         )
         fabric.sim.schedule_at(t, lambda fl=flow: fabric.start_flow(fl))
@@ -402,13 +445,13 @@ def _run_scenario(solver, seed, policy):
     return {f.flow_id: f.finish_time for f in flows}, fabric
 
 
-@pytest.mark.parametrize("policy", [None, _WFQPolicy],
-                         ids=["fair", "wfq"])
+@pytest.mark.parametrize("policy_name", list(_POLICIES))
 @pytest.mark.parametrize("seed", [0, 3])
-def test_fabric_array_incidence_parity(seed, policy, monkeypatch):
+def test_fabric_array_incidence_parity(seed, policy_name, monkeypatch):
     """Object-solver finish times are pinned bit for bit; the vector
     and auto solvers agree within 1e-9 relative."""
-    name = f"{'fair' if policy is None else 'wfq'}-{seed}"
+    name = f"{policy_name}-{seed}"
+    policy = _POLICIES[policy_name]
     with open(_PINNED) as handle:
         pinned = {
             int(fid): float.fromhex(value)

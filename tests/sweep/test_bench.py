@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.bench import dumps, run_sweep, write
+from repro.bench import SWEEP_REPEATS, dumps, run_sweep, write
 
 
 def test_run_bench_reduced_grid(tmp_path):
@@ -23,6 +23,9 @@ def test_run_bench_reduced_grid(tmp_path):
     assert payload["parallel_seconds"] > 0
     assert payload["grid"]["workloads"] == ["SQL", "LR"]
     assert any("bench" in line for line in lines)
+    # Serial and parallel runs alternate, SWEEP_REPEATS of each.
+    runs = [line for line in lines if " done in " in line]
+    assert [("jobs=1 " in line) for line in runs] == [True, False] * SWEEP_REPEATS
 
     out = tmp_path / "BENCH_sweep.json"
     write(dumps(payload), str(out))
