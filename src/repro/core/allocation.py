@@ -25,13 +25,13 @@ from the instance and reports it as ``stats["solver"]``:
   which handles non-convex polynomial models.
 
 A KKT solve is a near-constant number of numpy calls, ~5-20 ms
-whatever ``n``; SLSQP's cost grows with ``n`` and with its iteration
-count.  KKT is the faster one only on large ports.  On a 2-vCPU VM,
-with Figure 12's synthetic models, a 256-app solve took ~15 ms with
-KKT against ~70 ms with SLSQP, and from 4 to 128 apps neither won
-consistently.  On the Figure 10 co-run, whose ports carry at most 11
-applications, a KKT solve (4-24 Brent probes of 30 bisection steps)
-averaged 5.1 ms against 3.2 ms for SLSQP.
+whatever ``n``.  SLSQP's cost grows with its iteration count and with
+``n``: each gradient makes 2n model predictions and n sums of n terms
+(see ``_solve_slsqp``).  On a 2-vCPU VM, on the Figure 10 co-run,
+whose ports carry at most 11 applications, an SLSQP solve averaged
+1.4-1.9 ms against 6-10 ms for a KKT solve (4-24 Brent probes of 30
+bisection steps).  With Figure 12's synthetic models, a 256-app solve
+took 14-17 ms with SLSQP (one iteration) and 15-22 ms with KKT.
 """
 
 from __future__ import annotations
@@ -223,29 +223,82 @@ def _solve_kkt(problem: AllocationProblem, stats: dict) -> List[float]:
 
 
 # -- SLSQP -----------------------------------------------------------------------
+#
+# Given no ``jac``, scipy differences the objective and the capacity
+# constraint through ``approx_derivative``, re-evaluating all n
+# predictions for each of the n coordinates.  ``gradient`` and
+# ``residual_jacobian`` return exactly scipy's 2-point numbers (step,
+# bound handling and quotient) but move one prediction at a time.  The
+# analytic derivative would move the weights (DESIGN.md section 5f).
+
+#: scipy's default absolute step for SLSQP's finite differences
+#: (``optimize.minimize``'s ``eps`` option), ``sqrt(eps)``.
+_FD_STEP = float(np.sqrt(np.finfo(float).eps))
+
+
+def _fd_step(w: float, lo: float, hi: float) -> float:
+    """scipy's forward-difference step at ``w`` in the box ``[lo, hi]``.
+
+    ``+h`` where ``w + h`` stays in the box and ``-h`` where it leaves;
+    where the box is narrower than ``h``, the distance to the farther
+    bound.
+    """
+    lower, upper = w - lo, hi - w
+    if _FD_STEP <= max(lower, upper):
+        moved = w + _FD_STEP
+        return -_FD_STEP if moved < lo or moved > hi else _FD_STEP
+    return upper if upper >= lower else -lower
 
 
 def _solve_slsqp(problem: AllocationProblem, stats: dict) -> List[float]:
     from scipy import optimize  # local import: keep scipy optional at import time
 
-    n = len(problem.models)
+    models = problem.models
+    n = len(models)
+    lo = problem.min_weight
+    hi = problem.total - (n - 1) * problem.min_weight
     x0 = np.full(n, problem.total / n)
-    bounds = [
-        (problem.min_weight, problem.total - (n - 1) * problem.min_weight)
-    ] * n
+    bounds = [(lo, hi)] * n
 
     def objective(x: np.ndarray) -> float:
         return float(sum(m.predict(float(w)) for m, w in zip(problem.models, x)))
 
+    def residual(x: np.ndarray) -> float:
+        return float(np.sum(x) - problem.total)
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        # Each moved objective re-sums the whole prediction list in
+        # model order, as ``objective`` does: ``sum`` compensates on
+        # CPython >= 3.12, so a running total would not be bit-equal.
+        ws = x.tolist()
+        predictions = [m.predict(w) for m, w in zip(models, ws)]
+        f0 = float(sum(predictions))
+        grad = np.empty(n)
+        for i, w in enumerate(ws):
+            moved = w + _fd_step(w, lo, hi)
+            kept = predictions[i]
+            predictions[i] = models[i].predict(moved)
+            grad[i] = (float(sum(predictions)) - f0) / (moved - w)
+            predictions[i] = kept
+        return grad
+
+    def residual_jacobian(x: np.ndarray) -> np.ndarray:
+        x = np.clip(x, lo, hi)
+        r0 = residual(x)
+        jac = np.empty(n)
+        for i, w in enumerate(x.tolist()):
+            x[i] = w + _fd_step(w, lo, hi)
+            jac[i] = (residual(x) - r0) / (x[i] - w)
+            x[i] = w
+        return jac
+
     result = optimize.minimize(
         objective,
         x0,
+        jac=gradient,
         method="SLSQP",
         bounds=bounds,
-        constraints=[{
-            "type": "eq",
-            "fun": lambda x: float(np.sum(x) - problem.total),
-        }],
+        constraints=[{"type": "eq", "fun": residual, "jac": residual_jacobian}],
         options={"maxiter": 200, "ftol": 1e-9},
     )
     if not result.success and not np.isfinite(result.fun):

@@ -127,26 +127,52 @@ def metrics_to_csv(registry: MetricsRegistry, path: Union[str, Path]) -> int:
 def code_version() -> str:
     """Package version, plus the git commit when running from a checkout.
 
-    Pure file reads (no subprocess): resolves ``.git/HEAD`` one level
-    above ``src/``.  Falls back to the bare version for installed
-    copies or detached trees.
+    Pure file reads (no subprocess): resolves the ``HEAD`` of the
+    checkout one level above ``src/``.  Falls back to the bare version
+    for installed copies.
     """
     from repro._version import __version__
 
-    version = __version__
+    commit = _head_commit(Path(__file__).resolve().parents[3] / ".git")
+    return f"{__version__}+g{commit[:12]}" if commit else __version__
+
+
+def _head_commit(dot_git: Path) -> str:
+    """The commit ``HEAD`` names in the checkout whose ``.git`` is
+    ``dot_git``, or ``""``.
+
+    ``.git`` is the git directory, or in a linked worktree a
+    ``gitdir: <path>`` file naming it; a worktree's git directory keeps
+    its own ``HEAD`` and names the repository's shared one (refs and
+    ``packed-refs``) in ``commondir``.  A branch is a loose ref file or
+    a line of ``packed-refs``.
+    """
     try:
-        git_dir = Path(__file__).resolve().parents[3] / ".git"
+        git_dir = dot_git
+        if dot_git.is_file():
+            pointer = dot_git.read_text().strip()
+            if not pointer.startswith("gitdir: "):
+                return ""
+            git_dir = dot_git.parent / pointer[len("gitdir: "):]
+        common = git_dir
+        commondir = git_dir / "commondir"
+        if commondir.is_file():
+            common = git_dir / commondir.read_text().strip()
         head = (git_dir / "HEAD").read_text().strip()
-        if head.startswith("ref: "):
-            ref = git_dir / head[len("ref: "):]
-            commit = ref.read_text().strip() if ref.exists() else ""
-        else:
-            commit = head
-        if commit:
-            return f"{version}+g{commit[:12]}"
+        if not head.startswith("ref: "):
+            return head
+        ref = head[len("ref: "):]
+        loose, packed = common / ref, common / "packed-refs"
+        if loose.is_file():
+            return loose.read_text().strip()
+        if packed.is_file():
+            for line in packed.read_text().splitlines():
+                commit, _, name = line.partition(" ")
+                if name == ref:
+                    return commit
     except OSError:
         pass
-    return version
+    return ""
 
 
 @dataclass

@@ -11,6 +11,7 @@ from repro.obs.export import (
     JsonlTraceWriter,
     RunManifest,
     attach_trace_writer,
+    _head_commit,
     code_version,
     metrics_to_csv,
     metrics_to_json,
@@ -80,6 +81,56 @@ def test_code_version_mentions_package_version():
 
     version = code_version()
     assert version.startswith(__version__)
+
+
+COMMIT = "0123456789abcdef0123456789abcdef01234567"
+
+
+def _git_dir(root, head, loose=None, packed=None):
+    """A fake git directory at ``root`` with ``HEAD`` and refs."""
+    root.mkdir(parents=True)
+    (root / "HEAD").write_text(head + "\n")
+    if loose:
+        (root / "refs" / "heads").mkdir(parents=True)
+        (root / "refs" / "heads" / loose).write_text(COMMIT + "\n")
+    if packed:
+        (root / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted \n"
+            f"{'f' * 40} refs/heads/other\n"
+            f"{COMMIT} refs/heads/{packed}\n"
+            f"^{'e' * 40}\n"
+        )
+    return root
+
+
+def test_head_commit_reads_a_loose_branch(tmp_path):
+    dot_git = _git_dir(tmp_path / ".git", "ref: refs/heads/main", loose="main")
+    assert _head_commit(dot_git) == COMMIT
+
+
+def test_head_commit_reads_a_packed_branch(tmp_path):
+    dot_git = _git_dir(tmp_path / ".git", "ref: refs/heads/main", packed="main")
+    assert _head_commit(dot_git) == COMMIT
+
+
+def test_head_commit_reads_a_detached_head(tmp_path):
+    dot_git = _git_dir(tmp_path / ".git", COMMIT)
+    assert _head_commit(dot_git) == COMMIT
+
+
+def test_head_commit_follows_a_worktree_to_the_shared_refs(tmp_path):
+    shared = _git_dir(tmp_path / "main" / ".git", "ref: refs/heads/main", packed="topic")
+    own = _git_dir(shared / "worktrees" / "wt", "ref: refs/heads/topic")
+    (own / "commondir").write_text("../..\n")
+    checkout = tmp_path / "wt"
+    checkout.mkdir()
+    (checkout / ".git").write_text(f"gitdir: {own}\n")
+    assert _head_commit(checkout / ".git") == COMMIT
+
+
+def test_head_commit_is_empty_outside_a_checkout(tmp_path):
+    assert _head_commit(tmp_path / ".git") == ""
+    assert _head_commit(_git_dir(tmp_path / "g", "ref: refs/heads/gone")) == ""
 
 
 def test_manifest_roundtrip(tmp_path):
