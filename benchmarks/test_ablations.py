@@ -48,8 +48,10 @@ def test_ablation_solver_quality(benchmark, models):
 
 
 def test_ablation_solver_speed_at_scale(benchmark):
-    """The vectorised KKT path is what keeps Figure 12 sub-second at
-    datacenter application counts."""
+    """KKT on a 256-app port of Figure 12's synthetic models, against
+    SLSQP's objective.  Most of its apps clamp to the floor or the cap,
+    so the per-app bisections stay cheap at this size (~15 ms per solve
+    on a 2-vCPU VM, as for SLSQP)."""
     from repro.experiments.fig12 import synthetic_model_table
 
     table = synthetic_model_table(64, degree=3)

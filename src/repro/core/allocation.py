@@ -14,24 +14,26 @@ from the instance and reports it as ``stats["solver"]``:
 
 * ``"direct"`` -- one application gets the whole budget;
 * ``"equal"`` -- the floor uses the whole budget, so the equal split is
-  the only feasible point;
+  the only feasible point; KKT also reports it when no model gains
+  from weight even at the cap and it falls back to the equal split;
 * ``"kkt"`` -- every model is convex and decreasing on the feasible
   box: water-filling on the KKT conditions.  The optimum equalises
   marginal utilities, ``D_i'(w_i) = -lambda`` with box clamping, so an
   outer root-find on ``lambda`` plus inner bisections on each ``D_i'``
-  (vectorised with numpy across all models) solves the problem;
+  solves the problem;
 * ``"slsqp"`` -- otherwise scipy's Sequential Least Squares
   Programming, the algorithm the paper uses via NLopt (Section 7.2),
   which handles non-convex polynomial models.
 
-A KKT solve is a near-constant number of numpy calls, ~5-20 ms
-whatever ``n``.  SLSQP's cost grows with its iteration count and with
-``n``: each gradient makes 2n model predictions and n sums of n terms
-(see ``_solve_slsqp``).  On a 2-vCPU VM, on the Figure 10 co-run,
-whose ports carry at most 11 applications, an SLSQP solve averaged
-1.4-1.9 ms against 6-10 ms for a KKT solve (4-24 Brent probes of 30
-bisection steps).  With Figure 12's synthetic models, a 256-app solve
-took 14-17 ms with SLSQP (one iteration) and 15-22 ms with KKT.
+A KKT solve costs 4-24 Brent probes, each 30 bisection steps of plain
+Python per application whose root lies inside the box; apps clamped
+to the floor or the cap cost one comparison.  SLSQP's cost grows with
+its iteration count and with ``n``: each gradient makes 2n model
+predictions and n sums of n terms (see ``_solve_slsqp``).  On a
+2-vCPU VM, on the Figure 10 co-run, whose ports carry 2-7 applications
+when they take KKT, a KKT solve averaged 0.4 ms against 1.3-1.5 ms
+for SLSQP.  With Figure 12's synthetic models, a 256-app solve, whose
+apps mostly clamp, took ~15 ms with either method.
 """
 
 from __future__ import annotations
@@ -124,77 +126,58 @@ def optimize_weights(
 # At the optimum of Eq. 2 with convex decreasing models, every
 # non-clamped application sits where its marginal benefit equals a
 # shared multiplier: D_i'(w_i) = -lambda.  The solver inverts each
-# marginal by bisection (vectorised with numpy across all models) and
-# bisects on lambda to meet the capacity constraint -- O(n) per lambda
-# probe, which keeps the Figure 12 controller-overhead measurement
-# tractable at datacenter application counts (pure Python remains well
-# above the paper's C-backed NLopt in absolute terms).
-
-
-class _ModelBatch:
-    """Vectorised derivative evaluation for a set of models."""
-
-    def __init__(self, models: Sequence[SensitivityModel]) -> None:
-        self.n = len(models)
-        degree = max(m.degree for m in models)
-        coeffs = np.zeros((self.n, degree + 1))
-        for i, m in enumerate(models):
-            coeffs[i, : m.degree + 1] = m.coefficients
-        #: ``k * c_k`` per degree, highest first: the Horner columns of
-        #: ``dD/dx``.
-        self.slopes = [k * coeffs[:, k] for k in range(degree, 0, -1)]
-        self.inverse = np.array([m.basis == "inverse" for m in models])
-        self.lo = np.array([m.fit_domain[0] for m in models])
-        self.hi = np.array([m.fit_domain[1] for m in models])
-
-    def derivative(self, w: np.ndarray) -> np.ndarray:
-        """dD/db at ``w`` (per model), with domain clipping."""
-        b = np.minimum(np.maximum(w, self.lo), self.hi)
-        x = np.where(self.inverse, 1.0 / b, b)
-        acc = np.zeros(self.n)
-        for slope in self.slopes:
-            acc = acc * x + slope
-        return np.where(self.inverse, acc * (-1.0 / (b * b)), acc)
-
-
-def _weights_at_lambda(
-    batch: _ModelBatch, lam: float, lo: float, hi: float, iters: int = 30
-) -> np.ndarray:
-    """Solve ``D_i'(w_i) = -lam`` per model by vector bisection.
-
-    For convex decreasing ``D``, ``D'`` is increasing, so the root is
-    unique; outside the bracket the answer clamps to the boundary.
-    """
-    target = -lam
-    a = np.full(batch.n, lo)
-    b = np.full(batch.n, hi)
-    at_lo = batch.derivative(a) >= target  # floor: gain already below
-    at_hi = batch.derivative(b) <= target  # cap: gain still above
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        below = batch.derivative(mid) < target
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    w = 0.5 * (a + b)
-    w = np.where(at_lo, lo, w)
-    w = np.where(at_hi, hi, w)
-    return w
+# marginal by bisection over the model's bound derivative, one app at
+# a time in plain Python, and root-finds lambda to meet the capacity
+# constraint -- O(n) per lambda probe.  Plain Python beats a numpy
+# call per step on the few apps a port carries in the experiments;
+# with every app's root interior, a bisection vectorised across the
+# port wins from ~50 apps (DESIGN.md section 3).  Each float operation
+# is the vectorised bisection's, in its order, so the weights match it
+# bit for bit (tests/core/test_kkt_oracle.py keeps it as the oracle).
 
 
 def _solve_kkt(problem: AllocationProblem, stats: dict) -> List[float]:
-    """Bisection on the shared marginal ``lambda`` (vectorised)."""
+    """Brent on the shared marginal ``lambda`` over per-app bisections."""
     n = len(problem.models)
     lo_w = problem.min_weight
     hi_w = problem.total - (n - 1) * problem.min_weight
-    batch = _ModelBatch(problem.models)
+    marginals = []
+    for model in problem.models:
+        derivative = model.bind_derivative()
+        marginals.append((derivative, derivative(lo_w), derivative(hi_w)))
     probes = 0
+
+    def weights_at(lam: float) -> List[float]:
+        """Solve ``D_i'(w_i) = -lam`` per model by bisection.
+
+        For convex decreasing ``D``, ``D'`` is increasing, so the root is
+        unique; outside the bracket the answer clamps to the boundary.
+        """
+        target = -lam
+        weights = []
+        for derivative, d_lo, d_hi in marginals:
+            if d_hi <= target:  # cap: gain still above
+                weights.append(hi_w)
+            elif d_lo >= target:  # floor: gain already below
+                weights.append(lo_w)
+            else:
+                a, b = lo_w, hi_w
+                for _ in range(30):
+                    mid = 0.5 * (a + b)
+                    if derivative(mid) < target:
+                        a = mid
+                    else:
+                        b = mid
+                weights.append(0.5 * (a + b))
+        return weights
 
     def excess(lam: float) -> float:
         nonlocal probes
         probes += 1
-        return float(
-            _weights_at_lambda(batch, lam, lo_w, hi_w).sum()
-        ) - problem.total
+        # numpy's pairwise sum, as the vectorised bisection totalled:
+        # Python's ``sum`` associates differently (and compensates on
+        # CPython >= 3.12).
+        return float(np.array(weights_at(lam)).sum()) - problem.total
 
     # Bracket lambda: at lambda -> 0+ every app wants its cap; at a huge
     # lambda every app drops to the floor.
@@ -210,16 +193,16 @@ def _solve_kkt(problem: AllocationProblem, stats: dict) -> List[float]:
     else:
         raise AllocationError("could not bracket lambda; models degenerate")
     # Brent needs far fewer probes than plain bisection, and each probe
-    # is a full vectorised inner solve -- this is the hot path of the
-    # Figure 12 controller-overhead measurement.
+    # is a full inner solve -- this is the hot path of the Figure 12
+    # controller-overhead measurement.
     from scipy import optimize as _sopt
 
     lam_star = _sopt.brentq(
         excess, 0.0, lam_hi, xtol=1e-6, rtol=1e-6, maxiter=60
     )
-    weights = _weights_at_lambda(batch, lam_star, lo_w, hi_w)
+    weights = weights_at(lam_star)
     stats.update(solver="kkt", iterations=probes)
-    return _renormalise([float(w) for w in weights], problem)
+    return _renormalise(weights, problem)
 
 
 # -- SLSQP -----------------------------------------------------------------------

@@ -34,7 +34,7 @@ shrinks), keeping Eq. 2 well-posed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,12 +106,6 @@ class SensitivityModel:
             acc = acc * x + c
         return acc
 
-    def _poly_deriv(self, x: float) -> float:
-        acc = 0.0
-        for i in range(self.degree, 0, -1):
-            acc = acc * x + i * self.coefficients[i]
-        return acc
-
     def _raw(self, b: float) -> float:
         """Model value at ``b`` without clipping the output."""
         return self._poly(self._x(b))
@@ -126,11 +120,29 @@ class SensitivityModel:
 
     def derivative(self, b: float) -> float:
         """d D / d b at ``b`` (clipped to the fit domain)."""
-        b = self._clip(b)
-        if self.basis == "inverse":
-            x = 1.0 / b
-            return self._poly_deriv(x) * (-1.0 / (b * b))
-        return self._poly_deriv(b)
+        return self.bind_derivative()(b)
+
+    def bind_derivative(self) -> Callable[[float], float]:
+        """:meth:`derivative` as a plain function of ``b``.
+
+        The fit-domain bounds and the Horner slopes ``k * c_k``
+        (highest degree first) are bound once, so callers that take
+        many derivatives of one model -- the Eq. 2 water-filling
+        bisections, the convexity check -- skip the attribute lookups.
+        """
+        lo, hi = self.fit_domain
+        slopes = tuple(k * self.coefficients[k] for k in range(self.degree, 0, -1))
+        inverse = self.basis == "inverse"
+
+        def derivative(b: float) -> float:
+            b = lo if b < lo else (hi if b > hi else b)
+            x = 1.0 / b if inverse else b
+            acc = 0.0
+            for slope in slopes:
+                acc = acc * x + slope
+            return acc * (-1.0 / (b * b)) if inverse else acc
+
+        return derivative
 
     def is_convex_decreasing(self, lo: float, hi: float, samples: int = 33) -> bool:
         """Check D' <= 0 and D'' >= 0 numerically on [lo, hi] (in b).
@@ -143,7 +155,8 @@ class SensitivityModel:
         if lo >= hi:
             return False
         xs = np.linspace(lo, hi, samples)
-        d1 = np.array([self.derivative(float(x)) for x in xs])
+        derivative = self.bind_derivative()
+        d1 = np.array([derivative(x) for x in xs.tolist()])
         if np.any(d1 > 1e-9):
             return False
         d2 = np.diff(d1) / np.diff(xs)

@@ -1,13 +1,11 @@
 """Tests for the Eq. 2 weight optimiser."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AllocationError
 from repro.core.allocation import (
     AllocationProblem,
-    _ModelBatch,
     _solve_kkt,
     _solve_slsqp,
     equal_split,
@@ -215,14 +213,33 @@ def test_vectorised_kkt_matches_scalar_objective_at_scale():
     assert problem.objective(weights) <= problem.objective(slsqp) * 1.02
 
 
+def _parent_derivative(model, b):
+    """``SensitivityModel.derivative`` before the bound D', verbatim:
+    ``_clip``, then Horner over ``i * c_i`` (``_poly_deriv``)."""
+    lo, hi = model.fit_domain
+    b = min(max(b, lo), hi)
+
+    def _poly_deriv(x):
+        acc = 0.0
+        for i in range(model.degree, 0, -1):
+            acc = acc * x + i * model.coefficients[i]
+        return acc
+
+    if model.basis == "inverse":
+        x = 1.0 / b
+        return _poly_deriv(x) * (-1.0 / (b * b))
+    return _poly_deriv(b)
+
+
 @st.composite
 def _batch_point(draw):
-    """Models mixing both bases and degrees 1-3, with one point each
-    that may fall inside or outside the model's fit domain."""
+    """Models mixing both bases and degrees 0-3, with one point each
+    that may fall inside, outside or exactly on the model's fit
+    domain."""
     n = draw(st.integers(min_value=1, max_value=6))
     models, points = [], []
     for i in range(n):
-        degree = draw(st.integers(min_value=1, max_value=3))
+        degree = draw(st.integers(min_value=0, max_value=3))
         coefficients = tuple(draw(st.lists(
             st.floats(min_value=-5.0, max_value=5.0),
             min_size=degree + 1, max_size=degree + 1,
@@ -236,6 +253,7 @@ def _batch_point(draw):
         points.append(draw(st.one_of(
             st.floats(min_value=lo, max_value=hi),
             st.floats(min_value=1e-3, max_value=1.5),
+            st.sampled_from((lo, hi)),
         )))
     return models, points
 
@@ -243,12 +261,13 @@ def _batch_point(draw):
 @given(_batch_point())
 @settings(max_examples=200, deadline=None)
 def test_batch_derivative_equals_scalar_derivative(case):
-    """The KKT solver's vectorised D' is the models' own, bit for bit."""
+    """The KKT solver's bound D' is the models' former derivative, bit
+    for bit, so neither its weights nor ``is_convex_decreasing``'s
+    decisions can move."""
     models, points = case
-    batch = _ModelBatch(models).derivative(np.array(points))
-    assert [float(d) for d in batch] == [
-        m.derivative(w) for m, w in zip(models, points)
-    ]
+    expected = [_parent_derivative(m, w).hex() for m, w in zip(models, points)]
+    assert [m.bind_derivative()(w).hex() for m, w in zip(models, points)] == expected
+    assert [m.derivative(w).hex() for m, w in zip(models, points)] == expected
 
 
 #: ``test_kkt_handles_mixed_degrees``'s fitted pair, with the fit's

@@ -27,11 +27,34 @@ from repro.core.allocation import (
 from repro.core.sensitivity import SensitivityModel
 from repro.errors import AllocationError
 
-#: Every distinct SLSQP instance of one perfbench ``fig10-saba`` unit,
-#: recorded by wrapping ``repro.core.pipeline.optimize_weights``.  The
-#: 20 synthetic models' coefficients are written out, so the instances
-#: do not depend on the least-squares kernel that fitted them.
+#: Every distinct SLSQP (``instances``) and KKT (``kkt_instances``)
+#: instance of one perfbench ``fig10-saba`` unit, recorded by wrapping
+#: ``repro.core.pipeline.optimize_weights``.  The 20 synthetic models'
+#: coefficients are written out, so the instances do not depend on the
+#: least-squares kernel that fitted them.
 FIG10_INSTANCES = Path(__file__).with_name("fig10_slsqp_instances.json")
+
+
+def fig10_problems(key: str) -> List[AllocationProblem]:
+    """The recorded instances under ``key``, in recording order."""
+    recorded = json.loads(FIG10_INSTANCES.read_text())
+    models = [
+        SensitivityModel(
+            name=m["name"],
+            coefficients=tuple(m["coefficients"]),
+            fit_domain=tuple(m["fit_domain"]),
+            basis=m["basis"],
+        )
+        for m in recorded["models"]
+    ]
+    return [
+        AllocationProblem(
+            models=tuple(models[i] for i in indices),
+            total=recorded["total"],
+            min_weight=floor,
+        )
+        for indices, floor in recorded[key]
+    ]
 
 
 # -- the reference: the solver before its exact derivatives ---------------
@@ -158,22 +181,7 @@ def test_cap_flips_the_step():
 
 
 def test_fig10_instances_match():
-    recorded = json.loads(FIG10_INSTANCES.read_text())
-    models = [
-        SensitivityModel(
-            name=m["name"],
-            coefficients=tuple(m["coefficients"]),
-            fit_domain=tuple(m["fit_domain"]),
-            basis=m["basis"],
-        )
-        for m in recorded["models"]
-    ]
-    assert len(recorded["instances"]) == 633
-    for indices, floor in recorded["instances"]:
-        assert_same_solve(
-            AllocationProblem(
-                models=tuple(models[i] for i in indices),
-                total=recorded["total"],
-                min_weight=floor,
-            )
-        )
+    problems = fig10_problems("instances")
+    assert len(problems) == 633
+    for problem in problems:
+        assert_same_solve(problem)
