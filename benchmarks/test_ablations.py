@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.allocation import AllocationProblem, _solve_kkt, _solve_slsqp
 from repro.core.profiler import OfflineProfiler
-from repro.experiments.common import geomean
 from repro.experiments.fig8 import fig8_sweep_spec
 from repro.sweep import default_runner
 from repro.workloads.catalog import CATALOG

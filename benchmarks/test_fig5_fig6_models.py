@@ -13,7 +13,6 @@ from repro.experiments.fig5_fig6 import (
     run_fig6c,
 )
 from repro.sweep import default_runner
-from repro.workloads.catalog import CATALOG
 
 
 def test_fig5_model_fits(benchmark):

@@ -5,9 +5,8 @@ Every payload starts with one :func:`header` and is written by one
 
 ``fabric`` (:func:`run_fabric`) times the fluid fabric's rate solving.
 A scenario generates traffic as groups of flows released in waves (a
-group's next wave starts when its previous one drains) and lists the
-runs to make of it, whose completion times must agree to 1e-9
-relative:
+group's next wave starts when its previous one drains) and runs it to
+completion with component-scoped incremental solving:
 
 ``corun`` (default)
     ``apps`` applications pinned round-robin to the racks of a
@@ -16,22 +15,21 @@ relative:
     decomposes into per-rack congestion components and a completion
     disturbs only its own rack -- the regime the incremental solver
     targets (a cross-rack co-run merges into one giant component; see
-    DESIGN.md 5d).  Runs a full-recompute baseline
-    (``FluidFabric(incremental=False)``), component-scoped incremental
-    solving, and incremental solving on the ``--backend`` solver.
+    DESIGN.md 5d).  Also runs a full-recompute baseline
+    (``FluidFabric(incremental=False)``) whose completion times must
+    agree with the incremental run's to 1e-9 relative; ``speedup`` is
+    the incremental run's throughput over the baseline's.
 ``hyperscale``
     100,000 servers (2,500 racks x 40) pushing 1,072,500 rack-local
     incast flows: in each wave every server of a rack sends one
     equal-size flow to a rotating sink.  Waves are generated lazily,
     so at most one wave per rack is live, and a wave's flows finish
     together, so ``completion_quantum`` coalesces each wave-end into
-    one batched recompute of ~39-flow components.  Runs the
-    ``--backend`` solver and the object solver; the headline metric
+    one batched recompute of ~39-flow components.  The headline metric
     is completed flows per wall-clock second.
 ``fig10``
     The co-run on the paper's full 1,944-server cluster (54 spine /
-    102 leaf / 108 ToR x 18 servers), one app per rack, on the same
-    two solvers as ``hyperscale``.
+    102 leaf / 108 ToR x 18 servers), one app per rack.
 
 ``control`` (:func:`run_control`) measures the two layers the shared
 :class:`~repro.core.pipeline.AllocationPipeline` adds to the Saba
@@ -188,37 +186,29 @@ class _FabricScenario(NamedTuple):
     bench: str
     defaults: Dict[str, Any]
     traffic: Traffic
-    #: (payload key, incremental, solver backend or None for --backend)
-    runs: Tuple[Tuple[str, bool, Optional[str]], ...]
-    #: (speedup key, agreement-key prefix, baseline run, compared run)
-    comparisons: Tuple[Tuple[str, str, str, str], ...]
+    #: Also make a full-recompute run (payload key ``full``) and
+    #: compare it with the incremental one.
+    with_full: bool
 
-
-_BACKEND_RUNS = (("vector", True, None), ("object", True, "object"))
-_BACKEND_COMPARISON = (("vector_speedup", "", "object", "vector"),)
 
 FABRIC_SCENARIOS = {
     "corun": _FabricScenario(
         "fabric.incremental-rate-solving",
         dict(n_spine=8, n_leaf=8, n_tor=8, servers_per_tor=10,
              apps=16, fanout=8, waves=6, seed=7),
-        _corun,
-        (("full", False, "object"), ("incremental", True, "object"),
-         ("vector", True, None)),
-        (("speedup", "", "full", "incremental"),
-         ("vector_speedup", "vector_", "incremental", "vector")),
+        _corun, True,
     ),
     "hyperscale": _FabricScenario(
         "fabric.hyperscale-incast",
         dict(n_spine=4, n_leaf=16, n_tor=2500, servers_per_tor=40,
              waves=11, seed=7, completion_quantum=1e-3),
-        _incast, _BACKEND_RUNS, _BACKEND_COMPARISON,
+        _incast, False,
     ),
     "fig10": _FabricScenario(
         "fabric.fig10-full-scale-smoke",
         dict(n_spine=54, n_leaf=102, n_tor=108, servers_per_tor=18,
              apps=108, fanout=8, waves=3, seed=7),
-        _corun, _BACKEND_RUNS, _BACKEND_COMPARISON,
+        _corun, False,
     ),
 }
 
@@ -259,7 +249,7 @@ class _WFQBenchPolicy:
 
 
 def _fabric_run(
-    p: Dict[str, Any], traffic: Traffic, incremental: bool, backend: str,
+    p: Dict[str, Any], traffic: Traffic, incremental: bool,
 ) -> Tuple[Dict[str, Any], Dict[Tuple[int, int, int], float]]:
     """Run ``traffic`` to completion on a fresh fabric.
 
@@ -270,7 +260,7 @@ def _fabric_run(
         servers_per_tor=p["servers_per_tor"], capacity=GBPS_56,
     )
     fabric = FluidFabric(
-        topology, incremental=incremental, solver_backend=backend,
+        topology, incremental=incremental,
         completion_quantum=p.get("completion_quantum", 0.0),
     )
     fabric.set_policy(_WFQBenchPolicy())
@@ -317,7 +307,6 @@ def _fabric_run(
     events = fabric.loop_events
     completed = len(fabric.completed)
     stats: Dict[str, Any] = {
-        "solver_backend": fabric.solver_backend,
         "incremental": incremental,
         "wall_seconds": round(wall, 4),
         "events": events,
@@ -331,13 +320,9 @@ def _fabric_run(
         "mean_component_flows": round(
             fabric.flows_solved / fabric.components_solved, 2
         ) if fabric.components_solved else 0.0,
-        "vector_components": fabric.vector_components,
-        "object_components": fabric.object_components,
-        "vector_solver_seconds": round(fabric.vector_seconds, 4),
-        "object_solver_seconds": round(fabric.object_seconds, 4),
         # The recompute pipeline split: time spent building solver
-        # inputs (discovery, caps/spec marshalling, CSR assembly, rate
-        # scatter) vs inside the solvers themselves.
+        # inputs (discovery, caps marshalling, rate scatter) vs inside
+        # the solver itself.
         "marshal_seconds": round(fabric.marshal_seconds, 4),
         "solve_seconds": round(fabric.solve_seconds, 4),
         "flows_completed": completed,
@@ -367,15 +352,13 @@ def _completion_diff(
 def run_fabric(
     scenario: str = "corun",
     overrides: Optional[Mapping[str, Any]] = None,
-    backend: str = "auto",
     progress: Progress = _quiet,
 ) -> Dict[str, Any]:
-    """Make a fabric scenario's runs and compare them.
+    """Make a fabric scenario's runs and, for ``corun``, compare them.
 
     Returns the payload (``BENCH_fabric.json`` for ``corun``,
     ``BENCH_hyperscale.json`` for ``hyperscale``).  ``overrides``
-    replaces scenario defaults (CI passes reduced grids); ``backend``
-    is the solver backend of the run keyed ``vector``.
+    replaces scenario defaults (CI passes reduced grids).
     """
     spec = FABRIC_SCENARIOS[scenario]
     p = _params(spec.defaults, overrides)
@@ -384,29 +367,26 @@ def run_fabric(
     progress(f"{scenario}: {total} flows on {servers} servers")
     stats: Dict[str, Dict[str, Any]] = {}
     times: Dict[str, Dict[Tuple[int, int, int], float]] = {}
-    for key, incremental, solver in spec.runs:
-        run, times[key] = _fabric_run(
-            p, spec.traffic, incremental, solver or backend
-        )
-        stats[key] = run
+    runs = (("full", False),) if spec.with_full else ()
+    for key, incremental in runs + (("incremental", True),):
+        stats[key], times[key] = _fabric_run(p, spec.traffic, incremental)
+        run = stats[key]
         progress(
             f"{scenario}[{key}]: {run['flows_completed']} flows in "
             f"{run['wall_seconds']:.2f}s ({run['flows_per_sec']} flows/s, "
-            f"{run['vector_components']} components on the vector kernels)"
+            f"{run['components_solved']} components solved)"
         )
     payload = header(spec.bench)
-    payload.update(stats, scenario=p, solver_backend=backend)
-    if scenario != "corun":  # the committed corun snapshot has no size keys
-        payload.update(servers=servers, total_flows=total)
-    for speedup, prefix, base, other in spec.comparisons:
-        max_rel = _completion_diff(times[base], times[other])
-        payload[speedup] = _ratio(
-            stats[other]["flows_per_sec"] or 0.0,
-            stats[base]["flows_per_sec"] or 0.0,
+    payload.update(stats, scenario=p, servers=servers, total_flows=total)
+    if spec.with_full:
+        max_rel = _completion_diff(times["full"], times["incremental"])
+        payload["speedup"] = _ratio(
+            stats["incremental"]["flows_per_sec"] or 0.0,
+            stats["full"]["flows_per_sec"] or 0.0,
         )
-        payload[prefix + "max_rel_completion_diff"] = max_rel
-        payload[prefix + "identical_results"] = (
-            len(times[base]) == len(times[other]) == total
+        payload["max_rel_completion_diff"] = max_rel
+        payload["identical_results"] = (
+            len(times["full"]) == len(times["incremental"]) == total
             and max_rel <= 1e-9
         )
     return payload

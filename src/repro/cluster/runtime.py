@@ -444,7 +444,6 @@ class CoRunExecutor:
         observer: Optional[Observer] = None,
         faults: Optional[object] = None,
         incremental: bool = True,
-        solver_backend: str = "object",
         validate: bool = False,
     ) -> None:
         """``policy`` is either a bare :class:`FabricPolicy` or a
@@ -458,11 +457,11 @@ class CoRunExecutor:
         durations.  ``observer`` (:mod:`repro.obs`) sees the whole
         run: job/stage lifecycle, flow events, engine counters.
 
-        ``incremental``, ``solver_backend`` and ``validate`` pass
-        straight through to :class:`FluidFabric` (the defaults match
-        the fabric's, so existing callers are unchanged); scenario
+        ``incremental`` and ``validate`` pass straight through to
+        :class:`FluidFabric` (the defaults match the fabric's); scenario
         construction (:func:`repro.experiments.common.build_scenario`)
-        and the storm fuzzer vary them to cross-check solver paths.
+        and the storm fuzzer vary ``incremental`` to cross-check full
+        against component-scoped solving.
 
         ``faults`` is an optional
         :class:`repro.faults.FaultInjector`; it is bound to this
@@ -483,7 +482,6 @@ class CoRunExecutor:
             completion_quantum=completion_quantum,
             observer=observer,
             incremental=incremental,
-            solver_backend=solver_backend,
             validate=validate,
         )
         self.observer = self.fabric.observer

@@ -92,7 +92,7 @@ def kmeans(
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return [int(l) for l in labels], centers
+    return [int(label) for label in labels], centers
 
 
 @dataclass(frozen=True)

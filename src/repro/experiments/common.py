@@ -4,8 +4,8 @@ Scenario construction lives here: a :class:`ScenarioSpec` is one
 declarative, picklable description of *how a run is built* -- the
 topology builder and its arguments, the policy name and its knobs, and
 the fabric configuration (``completion_quantum``, ``incremental``,
-``solver_backend``, ``validate``).  :func:`build_scenario` turns a
-spec into a ready :class:`Scenario` (topology + :class:`PolicySetup` +
+``validate``).  :func:`build_scenario` turns a spec into a ready
+:class:`Scenario` (topology + :class:`PolicySetup` +
 :class:`CoRunExecutor`).  The figure harnesses, the extension
 studies, and the storm traffic generator/fuzzer all construct their
 runs through this one path, so fuzzing a random spec exercises
@@ -311,9 +311,9 @@ class ScenarioSpec:
 
     ``policy_kwargs`` passes extra keyword arguments to
     :func:`make_policy` (e.g. ``num_pls`` for the queue-count study).
-    ``incremental``/``solver_backend``/``validate`` select the
-    fabric's solver path -- the defaults are the bit-reproducible
-    object solver, which every pinned golden uses.
+    ``incremental`` selects component-scoped (default) or full
+    re-solves, and ``validate`` arms the fabric's per-recompute
+    invariant checks; every pinned golden uses the defaults.
     """
 
     topology: str = "single_switch"
@@ -323,7 +323,6 @@ class ScenarioSpec:
     policy_kwargs: Mapping[str, object] = field(default_factory=dict)
     completion_quantum: float = EXPERIMENT_QUANTUM
     incremental: bool = True
-    solver_backend: str = "object"
     validate: bool = False
 
     def __post_init__(self) -> None:
@@ -347,7 +346,6 @@ class ScenarioSpec:
             "policy_kwargs": dict(self.policy_kwargs),
             "completion_quantum": self.completion_quantum,
             "incremental": self.incremental,
-            "solver_backend": self.solver_backend,
             "validate": self.validate,
         }
 
@@ -430,7 +428,6 @@ def build_scenario(
         completion_quantum=spec.completion_quantum,
         observer=observer,
         incremental=spec.incremental,
-        solver_backend=spec.solver_backend,
         validate=spec.validate,
         faults=faults,
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.obs.events import EventBus, EventRecord, Observer
+from repro.obs.events import EventRecord, Observer
 from repro.obs.metrics import MetricsRegistry
 
 

@@ -17,7 +17,9 @@ the full one exactly (DESIGN.md 5d).  Per-link ``usable_capacity``
 deratings are cached until the link's flow population or queue
 programming changes, and predicted completions live in the table's
 ``finish_at`` column, so per-event work is O(disturbed component)
-plus vectorized passes instead of O(active flows × links).
+plus vectorized passes instead of O(active flows × links).  Each
+component is solved by :func:`~repro.simnet.fairness.solve_component`,
+the fabric's one rate solver.
 
 Allocation policies plug in through two hooks:
 
@@ -46,7 +48,6 @@ from typing import (
     List,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
 )
 
@@ -69,20 +70,11 @@ from repro.simnet.fairness import FairScheduler, LinkScheduler, solve_component
 from repro.simnet.flows import Flow
 from repro.simnet.flowtable import FlowTable
 from repro.simnet.incidence import ArrayIncidence
-from repro.simnet.kernels import solve_components
 from repro.simnet.routing import Router
 from repro.simnet.telemetry import UtilizationRecorder
 from repro.simnet.topology import Topology
 
 _EPS = 1e-9
-
-#: ``solver_backend="auto"``: a component of at least this many flows
-#: solves on the vector kernels (below it, array setup costs more
-#: than the interpreter loop it replaces) ...
-VECTOR_MIN_FLOWS = 32
-#: ... and once one recompute's components together reach this many
-#: flows, all of them go to the kernels in a single invocation.
-VECTOR_MIN_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -191,26 +183,19 @@ class FluidFabric:
                 a full re-solve plus an eager advance of every active
                 flow on each event -- the pre-incremental behaviour,
                 kept as the benchmark baseline.
-            solver_backend: ``"object"`` (default) keeps the pure
-                Python solver everywhere -- its trajectories are
-                bit-identical to the pre-kernel releases, which the
-                pinned experiment recipes rely on.  ``"auto"`` solves
-                components of at least :data:`VECTOR_MIN_FLOWS` flows
-                -- or every component, once one recompute's batch
-                reaches :data:`VECTOR_MIN_BATCH` flows -- with the
-                vectorized numpy kernels (:mod:`repro.simnet.kernels`)
-                and everything else with the object solver;
-                ``"vector"`` forces the kernels wherever the
-                schedulers support them.  Kernel results match the
-                object solver to ~1e-12 relative (reassociation noise
-                only, DESIGN.md 5i); benchmarks and hyperscale runs
-                opt into ``"auto"``/``"vector"``.
+            solver_backend: inert.  ``"object"`` and ``"auto"`` are
+                accepted and ignored, because the benchmark's
+                ``incast-waves`` workload still passes them; every
+                component is solved by the one object solver.  Any
+                other value (``"vector"`` included) raises.  ROADMAP
+                item 5's benchmark change deletes this keyword.
         """
         if completion_quantum < 0:
             raise SimulationError("completion_quantum must be >= 0")
-        if solver_backend not in ("auto", "vector", "object"):
+        if solver_backend not in ("object", "auto"):
             raise SimulationError(
-                f"unknown solver backend {solver_backend!r}"
+                f"unknown solver backend {solver_backend!r}: the fabric "
+                "has one solver"
             )
         self.topology = topology
         self.router = Router(topology)
@@ -228,7 +213,6 @@ class FluidFabric:
         self.validate = validate
         self.completion_quantum = completion_quantum
         self.incremental = incremental
-        self.solver_backend = solver_backend
         self.policy: FabricPolicy = _DefaultPolicy()
         self._component_safe = True
         self._active: Dict[int, Flow] = {}
@@ -243,7 +227,7 @@ class FluidFabric:
         self._seq = itertools.count()
         # -- incremental-solve state -----------------------------------
         #: The one flow<->link index; congestion components are
-        #: discovered over it and kernel batches gathered from it.
+        #: discovered over it.
         self._incidence = ArrayIncidence(self._table)
         #: Dirty ports, in dirtying order (dict-as-ordered-set: string
         #: sets iterate in hash order, which is not reproducible).
@@ -264,14 +248,10 @@ class FluidFabric:
         self.rate_recomputes = 0
         self.components_solved = 0
         self.flows_solved = 0
-        self.vector_components = 0
-        self.object_components = 0
-        self.vector_seconds = 0.0
-        self.object_seconds = 0.0
         #: Cumulative recompute time spent marshalling (component
-        #: discovery, view/CSR/caps/spec assembly, rate scatter) vs in
-        #: the numeric solves themselves; ``marshal + solve`` is the
-        #: whole rate pipeline (validation and telemetry excluded).
+        #: discovery, view/caps assembly, rate scatter) vs in the
+        #: numeric solves themselves; ``marshal + solve`` is the whole
+        #: rate pipeline (validation and telemetry excluded).
         self.marshal_seconds = 0.0
         self.solve_seconds = 0.0
 
@@ -482,14 +462,14 @@ class FluidFabric:
 
     def _link_capacities(
         self,
-        link_ids: Sequence[str],
-        members_of: Callable[[int], Sequence[Flow]],
+        on_link: Dict[str, List[Flow]],
         use_cache: bool,
     ) -> Tuple[List[LinkScheduler], List[float]]:
-        """Each link's scheduler and scheduler-derated capacity.
+        """Each link's scheduler and scheduler-derated capacity, in
+        ``on_link`` order.
 
-        ``members_of(i)`` gives link ``i``'s member flows in start
-        order; it is called only when the capacity must be derated
+        ``on_link`` maps each link to its member flows in start order;
+        the members are read only when the capacity must be derated
         afresh.  A cached capacity is reused while the link was not
         dirtied (its flow population is unchanged) and its queue-table
         generation and throttle still match; component-unsafe policies
@@ -503,7 +483,7 @@ class FluidFabric:
         port_table = self.topology.port_table
         schedulers: List[LinkScheduler] = []
         caps: List[float] = []
-        for i, lid in enumerate(link_ids):
+        for lid, members in on_link.items():
             scheduler = sched_cache.get(lid)
             if scheduler is None:
                 scheduler = sched_cache[lid] = self.policy.scheduler_of(lid)
@@ -515,7 +495,6 @@ class FluidFabric:
                 if cached is not None and cached[0] == key:
                     caps.append(cached[1])
                     continue
-            members = members_of(i)
             usable = scheduler.usable_capacity(
                 state.effective_capacity(len(members)), members
             )
@@ -533,13 +512,6 @@ class FluidFabric:
         per-component results are exactly what a joint solve produces
         (:func:`repro.simnet.fairness.network_rates` decomposes the
         same way).
-
-        ``solver_backend`` and component size pick each component's
-        solver.  Only kernel-bound components are flattened into
-        arrays; the object solver takes its Flow lists and ``on_link``
-        maps straight from discovery, because on the small components
-        it gets, assembling a CSR it never reads costs more than the
-        solve itself (DESIGN.md 5k).
         """
         obs = self.observer
         t0 = _time.perf_counter()
@@ -557,28 +529,10 @@ class FluidFabric:
             ),
             now,
         )
-        backend = self.solver_backend
-        if backend == "object":
-            kernel_bound: List[List[Flow]] = []
-            object_bound = comps
-        elif backend == "vector" or n_flows >= VECTOR_MIN_BATCH:
-            kernel_bound = comps
-            object_bound = []
-        else:
-            kernel_bound = [c for c in comps if len(c) >= VECTOR_MIN_FLOWS]
-            object_bound = [c for c in comps if len(c) < VECTOR_MIN_FLOWS]
         changed: Dict[str, None] = {}
-        vec_elapsed = 0.0
-        n_vec_comps = 0
-        if kernel_bound:
-            vec_elapsed, unsolved = self._solve_on_kernels(
-                kernel_bound, now, scoped, changed
-            )
-            n_vec_comps = len(kernel_bound) - len(unsolved)
-            object_bound = object_bound + unsolved
-        obj_elapsed = (
-            self._solve_on_objects(object_bound, now, scoped, changed)
-            if object_bound else 0.0
+        solve_elapsed = (
+            self._solve_on_objects(comps, now, scoped, changed)
+            if comps else 0.0
         )
         link_used = self._link_used
         # Dirty ports that no longer carry flows (last flow finished,
@@ -599,14 +553,9 @@ class FluidFabric:
         self.rate_recomputes += 1
         self.components_solved += len(comps)
         self.flows_solved += n_flows
-        self.vector_components += n_vec_comps
-        self.object_components += len(object_bound)
-        self.object_seconds += obj_elapsed
-        self.vector_seconds += vec_elapsed
         # Everything in the pipeline that is not a numeric solve is
-        # marshalling: component discovery, sync, view/CSR/caps/spec
-        # assembly, rate scatter and accumulator upkeep.
-        solve_elapsed = obj_elapsed + vec_elapsed
+        # marshalling: component discovery, sync, view/caps assembly,
+        # rate scatter and accumulator upkeep.
         pipeline_elapsed = _time.perf_counter() - t0
         self.solve_seconds += solve_elapsed
         self.marshal_seconds += max(0.0, pipeline_elapsed - solve_elapsed)
@@ -629,61 +578,12 @@ class FluidFabric:
             metrics.histogram("fabric.solver_seconds.solve").observe(
                 solve_elapsed
             )
-            if n_vec_comps:
-                metrics.histogram("fabric.solver_seconds.vector").observe(
-                    vec_elapsed
-                )
-                metrics.counter("fabric.vector_components").inc(
-                    n_vec_comps
-                )
-            if obj_elapsed > 0.0:
-                metrics.histogram("fabric.solver_seconds.object").observe(
-                    obj_elapsed
-                )
             obs.emit(
                 RATE_SOLVE, now, components=len(comps),
                 flows=n_flows, links=len(changed), full=full,
-                duration=pipeline_elapsed, vector_components=n_vec_comps,
+                duration=pipeline_elapsed,
             )
             self._emit_port_utilization(changed)
-
-    def _solve_on_kernels(
-        self,
-        comps: List[List[Flow]],
-        now: float,
-        use_cache: bool,
-        changed: Dict[str, None],
-    ) -> Tuple[float, List[List[Flow]]]:
-        """Solve ``comps`` in one kernel batch and apply the rates.
-
-        Returns the seconds spent in the kernels and the components
-        they left unsolved (no kernel form, or too large to pad), in
-        discovery order, for the object solver.
-        """
-        batch = self._incidence.batch(comps)
-        csr = batch.csr
-        slots = batch.slots
-        lids = batch.link_ids()
-        schedulers, caps = self._link_capacities(
-            lids, batch.members, use_cache
-        )
-        rates, solved, elapsed = solve_components(
-            batch, np.asarray(caps), schedulers
-        )
-        done = solved[csr.comp_of_flow]
-        self._table.rate[slots[done]] = rates[done]
-        self._table.update_finish(slots[done], now)
-        # Per-link usage totals: within-segment sums in member order.
-        used_now = np.add.reduceat(rates[csr.pair_flow], csr.link_starts)
-        link_used = self._link_used
-        for lid, used, ok in zip(
-            lids, used_now.tolist(), solved[csr.comp_of_link].tolist()
-        ):
-            if ok:
-                link_used[lid] = used
-                changed[lid] = None
-        unsolved = [comps[ci] for ci in np.flatnonzero(~solved).tolist()]
-        return elapsed, unsolved
 
     def _solve_on_objects(
         self,
@@ -692,8 +592,8 @@ class FluidFabric:
         use_cache: bool,
         changed: Dict[str, None],
     ) -> float:
-        """Solve ``comps`` one by one with the object solver and apply
-        the rates; returns the seconds spent solving."""
+        """Solve ``comps`` one by one with :func:`solve_component` and
+        apply the rates; returns the seconds spent solving."""
         link_used = self._link_used
         elapsed = 0.0
         slots: List[int] = []
@@ -709,9 +609,7 @@ class FluidFabric:
                         members = on_link[lid] = []
                     members.append(flow)
             lids = list(on_link)
-            sched_list, caps_list = self._link_capacities(
-                lids, list(on_link.values()).__getitem__, use_cache
-            )
+            sched_list, caps_list = self._link_capacities(on_link, use_cache)
             ts = _time.perf_counter()
             rates = solve_component(
                 comp_flows, on_link, dict(zip(lids, sched_list)),

@@ -37,7 +37,6 @@ before them and requires equal rates on random components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union,
 )
@@ -49,15 +48,14 @@ from repro.simnet.flows import Flow
 #: priority for strict-priority disciplines.
 QueueOfFlow = Callable[[str, Flow], int]
 
-#: How a scheduler exposes its discipline to the vectorized kernels
-#: (:mod:`repro.simnet.kernels`) and to :func:`solve_component`: a
-#: ``(kind, per-member group ids, group weights)`` triple.  ``kind`` is
-#: ``"fair"`` (one shared queue, per-flow max-min), ``"wfq"`` (weighted
-#: fair queueing: group ids are queue indices, weights map queue -> WFQ
-#: weight) or ``"prio"`` (strict priority: group ids are priority
-#: classes, lower served first).  ``None`` means the scheduler cannot
-#: be vectorized: its component must use the object solver, which
-#: calls its ``allocate``.
+#: How a scheduler exposes its discipline to :func:`solve_component`:
+#: a ``(kind, per-member group ids, group weights)`` triple.  ``kind``
+#: is ``"fair"`` (one shared queue, per-flow max-min), ``"wfq"``
+#: (weighted fair queueing: group ids are queue indices, weights map
+#: queue -> WFQ weight) or ``"prio"`` (strict priority: group ids are
+#: priority classes, lower served first).  ``None`` means the
+#: discipline has no such form, and the solver calls the scheduler's
+#: ``allocate`` instead.
 KernelSpec = Tuple[str, Optional[List[int]], Optional[Dict[int, float]]]
 
 _EPS = 1e-9
@@ -329,30 +327,20 @@ class LinkScheduler:
     #: this False.
     uniform_fair: bool = False
 
-    #: True when :meth:`kernel_spec` is a pure per-flow mapping: the
-    #: group id and weight of a flow do not depend on which other
-    #: flows share the link.  The array-native recompute then extracts
-    #: the spec once per scheduler over the whole solve batch and
-    #: gathers per-link group arrays from it, instead of calling
-    #: :meth:`kernel_spec` per link.  Subclasses whose spec inspects
-    #: the member *set* (not just each flow) must leave this False.
-    kernel_spec_elementwise: bool = False
-
     def usable_capacity(self, capacity: float, flows: Sequence[Flow]) -> float:
         """Line rate minus congestion-control losses for ``flows``."""
         return capacity
 
     def kernel_spec(self, flows: Sequence[Flow]) -> Optional[KernelSpec]:
-        """Describe this link's discipline for the vectorized kernels
-        and the object solver, which both compute from the spec rather
-        than :meth:`allocate`.
+        """Describe this link's discipline as a :data:`KernelSpec`,
+        which :func:`solve_component` binds once per solve and computes
+        from instead of calling :meth:`allocate`.
 
-        Returns ``None`` when the discipline cannot be expressed as
-        one of the three array kernels, which routes the whole
-        component onto the object solver.  Called once per solve; the
-        returned group ids must stay valid for the solve's duration
-        (flow state is frozen between events, so disciplines keyed on
-        e.g. ``flow.remaining`` are safe).
+        Returns ``None`` when the discipline is not one of the three
+        spec kinds; the solver then calls :meth:`allocate` each round.
+        Called once per solve; the returned group ids must stay valid
+        for the solve's duration (flow state is frozen between events,
+        so disciplines keyed on e.g. ``flow.remaining`` are safe).
         """
         if self.uniform_fair:
             return ("fair", None, None)
@@ -397,8 +385,6 @@ class WFQScheduler(LinkScheduler):
     (each VL runs its own control loop): the link's usable capacity is
     the weight-proportional mix of its populated queues' efficiencies.
     """
-
-    kernel_spec_elementwise = True
 
     def __init__(
         self,
@@ -467,8 +453,6 @@ class PriorityScheduler(LinkScheduler):
     Congestion-control losses apply per class (one queue per class);
     the link's usable capacity mixes class efficiencies by population.
     """
-
-    kernel_spec_elementwise = True
 
     def __init__(
         self,
@@ -664,8 +648,8 @@ class _BoundLink:
     member flow ids (:data:`Groups`) and the fill that divides a
     capacity among them: WFQ queues with their weights, priority
     classes, or -- for a fair link -- one priority class (whose
-    arithmetic is exactly ``water_fill``).  A scheduler with no kernel
-    form keeps its ``allocate``.
+    arithmetic is exactly ``water_fill``).  A scheduler whose
+    ``kernel_spec`` is ``None`` keeps its ``allocate``.
     """
 
     __slots__ = (
@@ -758,8 +742,8 @@ def solve_component(
     are read once, not once per candidate per round, and the targets
     come from the same fill functions as the schedulers' ``allocate``.
     Flow state is frozen during a solve, so every round would read the
-    same values.  A scheduler without a kernel form keeps its
-    ``allocate``.  Two shortcuts change no bit:
+    same values.  A scheduler whose ``kernel_spec`` is ``None`` keeps
+    its ``allocate``.  Two shortcuts change no bit:
 
     * *Target reuse.*  In the weighted phase a link's targets are
       recomputed only when its candidate count changed.  ``growing``

@@ -1,15 +1,16 @@
 """Flow↔link incidence and congestion components.
 
 The fabric keeps one persistent index of which flows traverse which
-links, :class:`ArrayIncidence`, maintained on flow start/finish
-instead of rebuilding ``on_link`` maps inside every solver call.
-Transitive sharing of links partitions the active flows into
-*congestion components*: max-min, WFQ and strict-priority allocations
-all decompose exactly over link-disjoint components (no capacity,
-queue or scheduler state crosses a component boundary), so an event
-only requires re-solving the component it disturbs.  DESIGN.md
-section 5d states the decomposition argument and its exactness
-conditions.
+links, :class:`ArrayIncidence`, maintained on flow start, finish and
+reroute.  It answers per-link membership and count queries, and
+:meth:`ArrayIncidence.discover` finds the congestion components a
+recompute must re-solve.  Transitive sharing of links partitions the
+active flows into *congestion components*: max-min, WFQ and
+strict-priority allocations all decompose exactly over link-disjoint
+components (no capacity, queue or scheduler state crosses a component
+boundary), so an event only requires re-solving the component it
+disturbs.  DESIGN.md section 5d states the decomposition argument and
+its exactness conditions.
 
 :func:`split_components` is the index-free partition used by the
 full-solve oracle (:func:`repro.simnet.fairness.network_rates`).
@@ -21,7 +22,6 @@ start order) or an explicit sort key -- never from hash-randomised
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
@@ -46,8 +46,9 @@ _start_order = attrgetter("_seq")
 def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``[starts[i], starts[i] + counts[i])`` index ranges.
 
-    The batched-gather workhorse: turns per-segment (start, count)
-    descriptors into one flat fancy index without a Python loop.
+    Turns per-segment (start, count) descriptors into one flat fancy
+    index without a Python loop; buffer compaction and
+    :meth:`ArrayIncidence.remap` move whole segments with it.
     """
     total = int(counts.sum())
     if total == 0:
@@ -105,242 +106,13 @@ def split_components(flows: Sequence[Flow]) -> List[List[Flow]]:
     return [groups[root] for root in sorted(groups)]
 
 
-@dataclass
-class BatchCSR:
-    """Flat CSR-style incidence over a batch of congestion components.
-
-    Components are concatenated flow- and link-contiguously, so every
-    per-component reduction is a ``reduceat`` over contiguous
-    segments.  The central array is the (link, flow) *pair* list in
-    link-major order -- for each link, its member flows in the same
-    order the object solver iterates them (``on_link`` order):
-
-    * ``pair_flow[p]`` / ``pair_link[p]`` -- batch-wide flow / link
-      index of pair ``p``.
-    * ``link_starts`` -- index of each link's first pair (``reduceat``
-      offsets for per-link segment reductions over pairs).
-    * ``flow_perm`` / ``flow_starts`` -- a stable permutation grouping
-      the same pairs by flow (each flow's path links contiguous), for
-      per-flow reductions such as "minimum offer along the path".
-    * ``comp_flow_starts`` / ``comp_link_starts`` -- segment offsets of
-      each component inside the flow / link axes.
-
-    Built once per solve; all per-round solver state lives in flat
-    arrays indexed by these.
-    """
-
-    comp_of_flow: np.ndarray
-    comp_of_link: np.ndarray
-    comp_flow_starts: np.ndarray
-    comp_link_starts: np.ndarray
-    pair_flow: np.ndarray
-    pair_link: np.ndarray
-    link_starts: np.ndarray
-    link_counts: np.ndarray
-    flow_perm: np.ndarray
-    flow_starts: np.ndarray
-    flow_counts: np.ndarray
-
-    @property
-    def n_flows(self) -> int:
-        return len(self.flow_counts)
-
-    @property
-    def n_links(self) -> int:
-        return len(self.link_starts)
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.pair_flow)
-
-
-class _LinkMembers(Sequence):
-    """Lazy ``Sequence[Flow]`` over one batch link's pairs.
-
-    Element ``i`` is the flow bound to slot ``slots[pair_flow[start +
-    i]]``, so iteration follows pair order -- start order, exactly the
-    member lists the object solver sees -- while schedulers that need
-    only ``len()`` (capacity derating) never materialise a Flow.
-    """
-
-    __slots__ = ("_slots", "_pair_flow", "_start", "_n", "_flow_of")
-
-    def __init__(
-        self,
-        slots: np.ndarray,
-        pair_flow: np.ndarray,
-        start: int,
-        n: int,
-        flow_of: List[Optional[Flow]],
-    ) -> None:
-        self._slots = slots
-        self._pair_flow = pair_flow
-        self._start = start
-        self._n = n
-        self._flow_of = flow_of
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, index):  # type: ignore[override]
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._n))]
-        if index < 0:
-            index += self._n
-        if not 0 <= index < self._n:
-            raise IndexError(index)
-        flow = self._flow_of[
-            int(self._slots[self._pair_flow[self._start + index]])
-        ]
-        assert flow is not None
-        return flow
-
-    def __iter__(self):
-        flow_of = self._flow_of
-        member_slots = self._slots[
-            self._pair_flow[self._start : self._start + self._n]
-        ].tolist()
-        for slot in member_slots:
-            flow = flow_of[slot]
-            assert flow is not None
-            yield flow
-
-
-@dataclass
-class ComponentBatch:
-    """Congestion components flattened for one kernel invocation.
-
-    The flow axis is the concatenation of the components' flows
-    (components ordered by earliest flow, flows by start sequence
-    within a component); ``slots`` maps it to
-    :class:`~repro.simnet.flowtable.FlowTable` rows.  The link axis is
-    in first-use order over the flow axis -- the order in which
-    walking each flow's path discovers links, i.e. the ``on_link``
-    order the object solver sees -- and ``link_axis`` maps it to the
-    incidence's interned link ids.  ``csr`` holds link-major pairs
-    with members in start order, so the kernels accumulate in the
-    object solver's order.
-    """
-
-    csr: BatchCSR
-    slots: np.ndarray
-    link_axis: np.ndarray
-    incidence: "ArrayIncidence"
-    #: On a :meth:`select` sub-batch: indices into the parent batch's
-    #: flow / link / pair axes (for gathering parent-axis side arrays
-    #: such as capacities and discipline codes).  ``None`` on a batch
-    #: fresh from :meth:`ArrayIncidence.batch`.
-    parent_flow_idx: Optional[np.ndarray] = None
-    parent_link_idx: Optional[np.ndarray] = None
-    parent_pair_idx: Optional[np.ndarray] = None
-
-    @property
-    def n_comps(self) -> int:
-        return len(self.csr.comp_flow_starts)
-
-    def comp_flow_counts(self) -> np.ndarray:
-        csr = self.csr
-        return np.diff(np.append(csr.comp_flow_starts, csr.n_flows))
-
-    def comp_link_counts(self) -> np.ndarray:
-        csr = self.csr
-        return np.diff(np.append(csr.comp_link_starts, csr.n_links))
-
-    def padded_cells_per_comp(self) -> np.ndarray:
-        """Per component: links x max members-per-link (kernel pad size)."""
-        csr = self.csr
-        if csr.n_links == 0:
-            return np.zeros(self.n_comps, dtype=np.int64)
-        max_members = np.maximum.reduceat(
-            csr.link_counts, csr.comp_link_starts
-        )
-        return self.comp_link_counts() * max_members
-
-    def link_ids(self) -> List[str]:
-        """The link axis as link ids."""
-        ids = self.incidence.link_ids
-        return [ids[gi] for gi in self.link_axis.tolist()]
-
-    def members(self, li: int) -> _LinkMembers:
-        """Batch link ``li``'s member flows, in start order."""
-        csr = self.csr
-        return _LinkMembers(
-            self.slots, csr.pair_flow, int(csr.link_starts[li]),
-            int(csr.link_counts[li]), self.incidence.table.flow_of,
-        )
-
-    def select(self, comp_idx: np.ndarray) -> "ComponentBatch":
-        """A new batch containing only the given components (in order).
-
-        Components are contiguous along every axis, so subsetting is a
-        gather of index ranges plus a renumbering; pair order within
-        each kept component is untouched.
-        """
-        csr = self.csr
-        F, L, P = csr.n_flows, csr.n_links, csr.n_pairs
-        fcounts = self.comp_flow_counts()
-        lcounts = self.comp_link_counts()
-        f_idx = _gather_ranges(
-            csr.comp_flow_starts[comp_idx], fcounts[comp_idx]
-        )
-        l_idx = _gather_ranges(
-            csr.comp_link_starts[comp_idx], lcounts[comp_idx]
-        )
-        pair_ends = np.append(csr.link_starts, P)
-        comp_pair_starts = pair_ends[csr.comp_link_starts]
-        comp_pair_counts = (
-            pair_ends[np.append(csr.comp_link_starts[1:], L)]
-            - comp_pair_starts
-        )
-        p_idx = _gather_ranges(
-            comp_pair_starts[comp_idx], comp_pair_counts[comp_idx]
-        )
-        fmap = np.full(F, -1, dtype=np.int64)
-        fmap[f_idx] = np.arange(len(f_idx), dtype=np.int64)
-        lmap = np.full(L, -1, dtype=np.int64)
-        lmap[l_idx] = np.arange(len(l_idx), dtype=np.int64)
-        pair_flow = fmap[csr.pair_flow[p_idx]]
-        pair_link = lmap[csr.pair_link[p_idx]]
-        link_counts = csr.link_counts[l_idx]
-        flow_counts = csr.flow_counts[f_idx]
-        k = len(comp_idx)
-        sub = BatchCSR(
-            comp_of_flow=np.repeat(
-                np.arange(k, dtype=np.int64), fcounts[comp_idx]
-            ),
-            comp_of_link=np.repeat(
-                np.arange(k, dtype=np.int64), lcounts[comp_idx]
-            ),
-            comp_flow_starts=_exclusive_cumsum(fcounts[comp_idx]),
-            comp_link_starts=_exclusive_cumsum(lcounts[comp_idx]),
-            pair_flow=pair_flow,
-            pair_link=pair_link,
-            link_starts=_exclusive_cumsum(link_counts),
-            link_counts=link_counts,
-            flow_perm=np.argsort(pair_flow, kind="stable"),
-            flow_starts=_exclusive_cumsum(flow_counts),
-            flow_counts=flow_counts,
-        )
-        return ComponentBatch(
-            csr=sub,
-            slots=self.slots[f_idx],
-            link_axis=self.link_axis[l_idx],
-            incidence=self.incidence,
-            parent_flow_idx=f_idx,
-            parent_link_idx=l_idx,
-            parent_pair_idx=p_idx,
-        )
-
-
 class ArrayIncidence:
     """Structure-of-arrays flow<->link index of the active flows.
 
     All state lives in flat numpy buffers keyed by interned link index
     and :class:`~repro.simnet.flowtable.FlowTable` slot.
     :meth:`discover` walks it to find the congestion components a
-    recompute must re-solve, and :meth:`batch` flattens the components
-    bound for the vector kernels into a :class:`ComponentBatch` with
-    vectorized gathers -- no per-pair Python on that path.
+    recompute must re-solve.
 
     Layout.  Per interned link, a segment of the flat adjacency
     buffers ``_adj_slot`` / ``_adj_k`` (member slot, and that member's
@@ -653,7 +425,7 @@ class ArrayIncidence:
         self._path_start = new_start
         self._path_len = new_len
 
-    # -- component discovery and flattening -------------------------------
+    # -- component discovery ------------------------------------------------
 
     def discover(
         self, seed_links: Optional[Iterable[str]] = None
@@ -708,63 +480,3 @@ class ArrayIncidence:
                 comps.append(comp)
         comps.sort(key=lambda comp: comp[0]._seq)
         return comps
-
-    def batch(self, comps: Sequence[Sequence[Flow]]) -> ComponentBatch:
-        """Flatten discovered components into one :class:`ComponentBatch`.
-
-        ``comps`` as :meth:`discover` returns them (or a subsequence):
-        each a non-empty start-ordered list of indexed flows.  The flow
-        axis concatenates them; the link axis and the pairs are
-        gathered from the persistent path segments.
-        """
-        counts = [len(comp) for comp in comps]
-        n_f = sum(counts)
-        n_comps = len(comps)
-        slots = np.fromiter(
-            (flow._slot for comp in comps for flow in comp),
-            dtype=np.int64, count=n_f,
-        )
-        comp_of_flow = np.repeat(
-            np.arange(n_comps, dtype=np.int64), counts
-        )
-        lens = self._path_len[slots]
-        pair_gl = self._path_buf[_gather_ranges(self._path_start[slots], lens)]
-        pair_fl = np.repeat(np.arange(n_f, dtype=np.int64), lens)
-        # Link axis: first use over the (component-major, seq-sorted)
-        # flow axis -- the order walking each flow's path builds
-        # ``on_link``.
-        u_links, first_idx, inv = np.unique(
-            pair_gl, return_index=True, return_inverse=True
-        )
-        n_l = len(u_links)
-        axis_order = np.argsort(first_idx)
-        rank_of_u = np.empty(n_l, dtype=np.int64)
-        rank_of_u[axis_order] = np.arange(n_l, dtype=np.int64)
-        pair_rank = rank_of_u[inv.reshape(-1)]
-        comp_of_link = comp_of_flow[pair_fl[first_idx[axis_order]]]
-        # Link-major pairs: stable sort by link rank keeps members in
-        # flow (start) order within each link's segment.
-        qorder = np.argsort(pair_rank, kind="stable")
-        pair_flow = pair_fl[qorder]
-        link_counts = np.bincount(pair_rank, minlength=n_l).astype(np.int64)
-        csr = BatchCSR(
-            comp_of_flow=comp_of_flow,
-            comp_of_link=comp_of_link,
-            comp_flow_starts=_exclusive_cumsum(
-                np.asarray(counts, dtype=np.int64)
-            ),
-            comp_link_starts=_exclusive_cumsum(
-                np.bincount(comp_of_link, minlength=n_comps).astype(np.int64)
-            ),
-            pair_flow=pair_flow,
-            pair_link=pair_rank[qorder],
-            link_starts=_exclusive_cumsum(link_counts),
-            link_counts=link_counts,
-            flow_perm=np.argsort(pair_flow, kind="stable"),
-            flow_starts=_exclusive_cumsum(lens),
-            flow_counts=lens.astype(np.int64),
-        )
-        return ComponentBatch(
-            csr=csr, slots=slots, link_axis=u_links[axis_order],
-            incidence=self,
-        )

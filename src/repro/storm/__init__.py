@@ -20,8 +20,8 @@ large-scale churn.  ``repro.storm`` supplies that stress surface:
   seed, runs each through the same
   :func:`~repro.experiments.common.build_scenario` path the pinned
   experiments use, checks every invariant, and (for small scenarios)
-  re-runs with full solves and with the vectorized backend to assert
-  solver equivalence.  Campaigns are :mod:`repro.sweep` sweeps:
+  re-runs with the other solve scope (full or component-scoped) to
+  assert solver equivalence.  Campaigns are :mod:`repro.sweep` sweeps:
   per-task seeds derive from the campaign seed, verdicts are
   picklable, and the content-addressed cache makes re-runs free.
 

@@ -10,9 +10,9 @@ printed seed.
 :func:`fuzz_one` runs one sampled scenario and returns a picklable
 verdict: the invariant violations its probes recorded, plus -- for
 scenarios small enough -- a solver-equivalence audit that re-runs the
-identical traffic with full (non-incremental) solves and with the
-alternate solver backend and requires per-flow completion times to
-agree to 1e-9 relative.
+identical traffic with the other solve scope (full instead of
+component-scoped, or the reverse) and requires per-flow completion
+times to agree to 1e-9 relative.
 
 Campaigns are :mod:`repro.sweep` sweeps (:func:`fuzz_sweep_spec`):
 per-scenario seeds derive from the campaign seed via
@@ -44,7 +44,7 @@ from repro.sweep import SweepSpec, Task, derive_seed
 from repro.units import GBPS_56
 
 #: Scenarios whose base run injected more flows than this skip the
-#: solver-equivalence re-runs (which triple a scenario's cost); the
+#: solver-equivalence re-run (which doubles a scenario's cost); the
 #: campaign report counts how many were skipped.
 EQUIV_MAX_FLOWS = 350
 
@@ -117,12 +117,17 @@ def sample_config(seed: int) -> StormConfig:
             DEFAULT_COLLAPSE_ALPHA if rng.random() < 0.5 else None
         )
         base_rate = rng.uniform(40.0, 220.0)
+    incremental = rng.random() < 0.7
+    # Two discarded draws, here and before the return, that once
+    # picked a solver backend and a flow-index backend: dropping either
+    # would shift every later draw, remapping every campaign seed, the
+    # pinned regression seeds included.
+    rng.choice(("object", "vector"))
     spec = ScenarioSpec(
         policy=policy,
         collapse_alpha=collapse_alpha,
         completion_quantum=0.0,
-        incremental=rng.random() < 0.7,
-        solver_backend=rng.choice(("object", "vector")),
+        incremental=incremental,
         **topo,
     )
     duration = rng.uniform(0.3, 1.0)
@@ -155,9 +160,7 @@ def sample_config(seed: int) -> StormConfig:
     if rng.random() < 0.6:
         destroy_fraction = rng.uniform(0.05, 0.35)
         destroy_delay = rng.uniform(0.01, 0.15)
-    # A discarded draw (it used to pick a flow-index backend): dropping
-    # it would shift every later draw, remapping every campaign seed,
-    # the pinned regression seeds included.
+    # The second discarded draw (see the first, after ``incremental``).
     rng.choice(("auto", "array", "object"))
     return StormConfig(
         spec=spec,

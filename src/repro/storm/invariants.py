@@ -51,10 +51,10 @@ request count):
   state into any of them);
 * **quiescence** -- after the run drains, no connection remains open.
 
-Solver equivalence re-runs a scenario with full (non-incremental)
-solves and with the vectorized backend and requires identical
-completion sets with per-flow finish times agreeing to ``1e-9``
-relative -- the same threshold the solver bench enforces.
+Solver equivalence re-runs a scenario with the other solve scope
+(full instead of component-scoped solves, or the reverse) and requires
+identical completion sets with per-flow finish times agreeing to
+``1e-9`` relative -- the same threshold the fabric bench enforces.
 """
 
 from __future__ import annotations

@@ -32,8 +32,9 @@ service must account such requests like any other.
 
 Determinism: every random stream is seeded from ``config.seed`` alone
 and consumed in simulated-event order, and flow ids are reset per run,
-so two runs of one config are bit-identical -- including across solver
-backends, which is what the fuzzer's equivalence check relies on.
+so two runs of one config are bit-identical -- including across full
+and component-scoped solving, which is what the fuzzer's equivalence
+check relies on.
 """
 
 from __future__ import annotations
@@ -261,20 +262,17 @@ class StormReport:
 def equivalence_configs(config: StormConfig) -> Dict[str, StormConfig]:
     """The solver-path variants a run must agree with bit-for-bit.
 
-    ``full_solve`` disables incremental (per-component) solving;
-    ``alt_backend`` flips between the object and vectorized kernels.
-    Everything else -- seeds, arrivals, teardowns -- is unchanged, so
-    per-flow completion times must match to 1e-9 relative.
+    ``full_solve`` flips ``incremental``: a component-scoped run is
+    re-run with full solves, and a full-solve run with component-scoped
+    ones.  Everything else -- seeds, arrivals, teardowns -- is
+    unchanged, so per-flow completion times must match to 1e-9
+    relative.
     """
     spec = config.spec
-    alt = "object" if spec.solver_backend == "vector" else "vector"
     return {
         "full_solve": dataclasses.replace(
             config,
             spec=dataclasses.replace(spec, incremental=not spec.incremental),
-        ),
-        "alt_backend": dataclasses.replace(
-            config, spec=dataclasses.replace(spec, solver_backend=alt),
         ),
     }
 

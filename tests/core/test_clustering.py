@@ -44,7 +44,7 @@ def test_kmeans_identical_points():
     points = np.ones((10, 2))
     labels, centroids = kmeans(points, k=3, rng=random.Random(0))
     assert len(labels) == 10
-    assert all(0 <= l < 3 for l in labels)
+    assert all(0 <= label < 3 for label in labels)
 
 
 def test_kmeans_validation():
@@ -66,7 +66,7 @@ def test_kmeans_labels_within_range(n, k, seed):
     points = np.random.RandomState(seed).rand(n, 4)
     labels, centroids = kmeans(points, k=k, rng=random.Random(seed))
     assert len(labels) == n
-    assert all(0 <= l < len(centroids) for l in labels)
+    assert all(0 <= label < len(centroids) for label in labels)
     assert len(centroids) <= max(k, n)
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import RegistrationError
 from repro.core.controller import SabaController
-from repro.core.table import SensitivityTable
 from repro.simnet.fabric import FluidFabric
 from repro.simnet.topology import single_switch
 

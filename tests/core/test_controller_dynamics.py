@@ -18,7 +18,6 @@ from repro.core.library import SabaLibrary
 from repro.core.profiler import OfflineProfiler
 from repro.simnet.fabric import FluidFabric
 from repro.simnet.topology import single_switch
-from repro.units import GBPS_56
 from repro.workloads.catalog import CATALOG
 
 

@@ -12,7 +12,6 @@ import pytest
 from repro.core.controller import SabaController
 from repro.core.library import CONTROLLER_ENDPOINT, SabaLibrary
 from repro.core.rpc import RpcBus, RpcError
-from repro.errors import RegistrationError
 from repro.simnet.fabric import FluidFabric
 from repro.simnet.topology import single_switch
 

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ProfilingError
 from repro.core.profiler import OfflineProfiler, ProfileResult
 from repro.core.sensitivity import PROFILE_FRACTIONS, r_squared
-from repro.units import GBPS_56
 from repro.workloads.catalog import CATALOG
 
 

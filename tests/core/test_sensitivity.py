@@ -1,6 +1,5 @@
 """Tests for sensitivity models, fitting, and R^2."""
 
-import math
 
 import numpy as np
 import pytest

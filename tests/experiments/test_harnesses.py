@@ -8,7 +8,6 @@ so refactors of the underlying machinery fail fast.
 import pytest
 
 from repro.experiments.common import (
-    build_catalog_table,
     geomean,
     make_policy,
     speedup_report,

@@ -2,7 +2,6 @@
 
 import json
 
-import pytest
 
 from repro.experiments.report import (
     generate_reports,
@@ -37,7 +36,7 @@ def test_dataclass_payloads_serialise(tmp_path):
 
 
 def test_non_jsonable_values_stringified(tmp_path):
-    path = write_report("odd", {"obj": object()}, tmp_path)
+    write_report("odd", {"obj": object()}, tmp_path)
     text = (tmp_path / "odd.json").read_text()
     json.loads(text)  # must stay valid JSON
 

@@ -1,116 +1,40 @@
 """Differential suite: :class:`ArrayIncidence` against index-free oracles.
 
 The flow index is a performance substrate, not a semantics: every
-observable -- per-link membership, component discovery, the batch CSR
-the kernels read, and end-to-end fabric results -- must equal what a
-from-scratch build over the active flows gives.  The oracle here keeps
-no index at all: :func:`split_components` (union-find over the active
-flows in start order, the partition the full-solve oracle
-``network_rates`` uses) flattened by the test-local
-:func:`build_batch_csr`.  These tests pin that contract three ways:
+observable -- per-link membership and counts, component discovery, and
+end-to-end fabric results -- must equal what a from-scratch build over
+the active flows gives.  The oracle here keeps no index at all:
+:func:`split_components` (union-find over the active flows in start
+order, the partition the full-solve oracle ``network_rates`` uses).
+These tests pin that contract three ways:
 
 * randomized add/remove/reroute churn (hypothesis) with periodic
   :meth:`FlowTable.compact` + :meth:`ArrayIncidence.remap`, comparing
-  counts, memberships, and the full CSR of both full and seeded
-  discovery, plus ``select()`` sub-batches;
+  counts, memberships, and the components of both full and seeded
+  discovery;
 * deterministic edge cases for slot recycling, re-adds, adjacency
   segment relocation and buffer compaction;
 * end-to-end fabric runs (fair, WFQ and Saba-shaped policies, link
-  faults via ``set_link_state``) whose object-solver finish times are
-  pinned bit for bit, with the vector and auto solvers within 1e-9.
+  faults via ``set_link_state``) whose finish times are pinned bit for
+  bit.
 """
 
 import json
 import os
 import random
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import make_port_scheduler
-from repro.simnet import fabric as fabric_module
+from repro.errors import SimulationError
 from repro.simnet.fabric import FluidFabric
 from repro.simnet.fairness import WFQScheduler
 from repro.simnet.flows import Flow, reset_flow_ids
 from repro.simnet.flowtable import FlowTable
-from repro.simnet.incidence import (
-    ArrayIncidence,
-    BatchCSR,
-    split_components,
-)
+from repro.simnet.incidence import ArrayIncidence, split_components
 from repro.simnet.topology import spine_leaf
-
-_CSR_FIELDS = (
-    "comp_of_flow", "comp_of_link", "comp_flow_starts", "comp_link_starts",
-    "pair_flow", "pair_link", "link_starts", "link_counts",
-    "flow_perm", "flow_starts", "flow_counts",
-)
-
-
-def build_batch_csr(
-    components: Sequence[Tuple[Sequence[Flow], Mapping[str, Sequence[Flow]]]],
-) -> Tuple[BatchCSR, List[Flow], List[str]]:
-    """Flatten ``(flows, on_link)`` components into a :class:`BatchCSR`.
-
-    The straightforward per-pair Python build: ``on_link`` iteration
-    order defines the link axis and each link's member order its pair
-    segment, exactly what the object solver iterates.  Returns the CSR
-    with its flow and link axes as objects / ids.
-    """
-    flows: List[Flow] = []
-    link_ids: List[str] = []
-    comp_of_flow: List[int] = []
-    comp_of_link: List[int] = []
-    comp_flow_starts: List[int] = []
-    comp_link_starts: List[int] = []
-    pair_flow: List[int] = []
-    pair_link: List[int] = []
-    link_starts: List[int] = []
-    for ci, (comp_flows, on_link) in enumerate(components):
-        comp_flow_starts.append(len(flows))
-        comp_link_starts.append(len(link_ids))
-        idx_of = {f.flow_id: len(flows) + i for i, f in enumerate(comp_flows)}
-        flows.extend(comp_flows)
-        comp_of_flow.extend([ci] * len(comp_flows))
-        for lid, members in on_link.items():
-            li = len(link_ids)
-            link_ids.append(lid)
-            comp_of_link.append(ci)
-            link_starts.append(len(pair_flow))
-            for f in members:
-                pair_flow.append(idx_of[f.flow_id])
-                pair_link.append(li)
-    pf = np.asarray(pair_flow, dtype=np.int64)
-    starts = np.asarray(link_starts, dtype=np.int64)
-    flow_counts = np.bincount(pf, minlength=len(flows)).astype(np.int64)
-    csr = BatchCSR(
-        comp_of_flow=np.asarray(comp_of_flow, dtype=np.int64),
-        comp_of_link=np.asarray(comp_of_link, dtype=np.int64),
-        comp_flow_starts=np.asarray(comp_flow_starts, dtype=np.int64),
-        comp_link_starts=np.asarray(comp_link_starts, dtype=np.int64),
-        pair_flow=pf,
-        pair_link=np.asarray(pair_link, dtype=np.int64),
-        link_starts=starts,
-        link_counts=np.diff(np.append(starts, len(pf))).astype(np.int64),
-        # Stable sort by flow groups each flow's pairs contiguously
-        # while keeping link-major order within a flow's segment.
-        flow_perm=np.argsort(pf, kind="stable"),
-        flow_starts=np.concatenate(
-            ([0], np.cumsum(flow_counts)[:-1])
-        ).astype(np.int64),
-        flow_counts=flow_counts,
-    )
-    return csr, flows, link_ids
-
-
-def _on_link(comp_flows):
-    on_link: Dict[str, List[Flow]] = {}
-    for flow in comp_flows:
-        for lid in flow.path:
-            on_link.setdefault(lid, []).append(flow)
-    return on_link
 
 
 def _oracle_components(active, seeds=None):
@@ -125,20 +49,9 @@ def _oracle_components(active, seeds=None):
     return comps
 
 
-def _assert_csr_equal(batch, comps):
-    ref, flows, link_ids = build_batch_csr([(c, _on_link(c)) for c in comps])
-    for name in _CSR_FIELDS:
-        assert np.array_equal(getattr(ref, name), getattr(batch.csr, name)), name
-    flow_of = batch.incidence.table.flow_of
-    assert [f.flow_id for f in flows] == [
-        flow_of[s].flow_id for s in batch.slots
-    ]
-    assert link_ids == batch.link_ids()
-
-
 def _assert_matches(arr, active, seeds=None):
     """The index agrees with the active flows: membership, counts, and
-    discovery + flattening against the oracle."""
+    full and seeded discovery against the oracle."""
     members: Dict[str, List[int]] = {}
     for flow in sorted(active, key=lambda f: f._seq):
         for lid in flow.path:
@@ -154,15 +67,13 @@ def _assert_matches(arr, active, seeds=None):
         assert [[f.flow_id for f in c] for c in comps] == [
             [f.flow_id for f in c] for c in ref
         ]
-        if comps:
-            _assert_csr_equal(arr.batch(comps), ref)
 
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_churn_differential(data):
-    """Random add/remove/reroute churn with compaction: membership,
-    full and seeded discovery, and their CSR track the oracle."""
+    """Random add/remove/reroute churn with compaction: membership
+    and full and seeded discovery track the oracle."""
     table = FlowTable()
     arr = ArrayIncidence(table)
     n_links = data.draw(st.integers(min_value=2, max_value=16))
@@ -201,42 +112,6 @@ def test_churn_differential(data):
             _assert_matches(arr, active, seeds)
     arr.remap(table.compact())
     _assert_matches(arr, active, links[: n_links // 2])
-
-
-@given(data=st.data())
-@settings(max_examples=30, deadline=None)
-def test_select_sub_batches(data):
-    """``select()`` sub-batches of a churned population equal the
-    oracle CSR of the picked components alone."""
-    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**31)))
-    table = FlowTable()
-    arr = ArrayIncidence(table)
-    links = [f"L{i}" for i in range(rng.randint(3, 24))]
-    active: List[Flow] = []
-    for i in range(rng.randint(1, 120)):
-        flow = Flow(src="a", dst="b", size=1.0)
-        flow.path = tuple(rng.sample(links, rng.randint(1, min(3, len(links)))))
-        table.bind(flow, i, 0.0)
-        arr.add(flow)
-        active.append(flow)
-        if rng.random() < 0.3:
-            victim = active.pop(rng.randrange(len(active)))
-            arr.remove(victim)
-            table.unbind(victim)
-    if not active:
-        return
-    arr.remap(table.compact())
-    comps = arr.discover()
-    batch = arr.batch(comps)
-    pick = sorted(data.draw(
-        st.lists(st.integers(min_value=0, max_value=len(comps) - 1),
-                 min_size=1, max_size=len(comps), unique=True)
-    ))
-    sub = batch.select(np.asarray(pick, dtype=np.int64))
-    _assert_csr_equal(sub, [comps[ci] for ci in pick])
-    # Parent-axis indices gather the picked components' entries.
-    assert np.array_equal(batch.slots[sub.parent_flow_idx], sub.slots)
-    assert np.array_equal(batch.link_axis[sub.parent_link_idx], sub.link_axis)
 
 
 def _bound_flow(table, path, seq):
@@ -310,7 +185,7 @@ class TestSlotRecycling:
 
     def test_compaction_remap(self):
         """Table compaction after heavy churn: remap keeps every live
-        pair, and discovery and the CSR match the oracle."""
+        pair, and discovery matches the oracle."""
         rng = random.Random(7)
         table = FlowTable()
         arr = ArrayIncidence(table)
@@ -401,14 +276,14 @@ class _SabaShapedPolicy:
 _POLICIES = {"fair": None, "wfq": _WFQPolicy, "saba": _SabaShapedPolicy}
 
 
-def _run_scenario(solver, seed, policy):
+def _run_scenario(seed, policy, **fabric_kwargs):
     reset_flow_ids()
     rng = random.Random(seed)
     topo = spine_leaf(
         n_spine=2, n_leaf=3, n_tor=4, servers_per_tor=4, capacity=10e9
     )
     fabric = FluidFabric(
-        topo, completion_quantum=0.0, solver_backend=solver, validate=True,
+        topo, completion_quantum=0.0, validate=True, **fabric_kwargs,
     )
     if policy is not None:
         fabric.set_policy(policy())
@@ -432,44 +307,42 @@ def _run_scenario(solver, seed, policy):
     # Fault redundant leaf->spine links only (rack-local reachability
     # survives), exercising reroutes through the index.
     fault_links = sorted(
-        l for l in topo.links if l.startswith("leaf") and "spine" in l
+        link for link in topo.links if link.startswith("leaf") and "spine" in link
     )[:4:2]
     for i, lid in enumerate(fault_links):
         fabric.sim.schedule_at(
-            0.02 + i * 0.013, lambda l=lid: fabric.set_link_state(l, False)
+            0.02 + i * 0.013, lambda link=lid: fabric.set_link_state(link, False)
         )
         fabric.sim.schedule_at(
-            0.2 + i * 0.013, lambda l=lid: fabric.set_link_state(l, True)
+            0.2 + i * 0.013, lambda link=lid: fabric.set_link_state(link, True)
         )
     fabric.run()
-    return {f.flow_id: f.finish_time for f in flows}, fabric
+    return {f.flow_id: f.finish_time for f in flows}
+
+
+def _pinned(name):
+    with open(_PINNED) as handle:
+        return {
+            int(fid): float.fromhex(value)
+            for fid, value in json.load(handle)[name].items()
+        }
 
 
 @pytest.mark.parametrize("policy_name", list(_POLICIES))
 @pytest.mark.parametrize("seed", [0, 3])
-def test_fabric_array_incidence_parity(seed, policy_name, monkeypatch):
-    """Object-solver finish times are pinned bit for bit; the vector
-    and auto solvers agree within 1e-9 relative."""
-    name = f"{policy_name}-{seed}"
-    policy = _POLICIES[policy_name]
-    with open(_PINNED) as handle:
-        pinned = {
-            int(fid): float.fromhex(value)
-            for fid, value in json.load(handle)[name].items()
-        }
-    base, _ = _run_scenario("object", seed, policy)
-    assert base == pinned
+def test_fabric_array_incidence_parity(seed, policy_name):
+    """Finish times are pinned bit for bit."""
+    finish = _run_scenario(seed, _POLICIES[policy_name])
+    assert finish == _pinned(f"{policy_name}-{seed}")
 
-    # Small thresholds so the 90-flow run exercises both solver arms
-    # under "auto" (kernel-bound and object-bound components).
-    monkeypatch.setattr(fabric_module, "VECTOR_MIN_FLOWS", 4)
-    monkeypatch.setattr(fabric_module, "VECTOR_MIN_BATCH", 16)
-    for solver in ("vector", "auto"):
-        got, fabric = _run_scenario(solver, seed, policy)
-        assert fabric.vector_components > 0
-        if solver == "auto":
-            assert fabric.object_components > 0
-        assert got.keys() == base.keys()
-        for fid, finish in base.items():
-            rel = abs(got[fid] - finish) / max(abs(finish), 1e-12)
-            assert rel <= 1e-9, (solver, fid, rel)
+
+def test_solver_backend_keyword_is_inert():
+    """``solver_backend`` survives only for callers that still pass it:
+    ``"auto"`` runs the one solver and reproduces the pinned finish
+    times, and every other value, ``"vector"`` included, raises."""
+    finish = _run_scenario(3, _POLICIES["saba"], solver_backend="auto")
+    assert finish == _pinned("saba-3")
+    topo = spine_leaf(n_spine=1, n_leaf=1, n_tor=1, servers_per_tor=2)
+    for backend in ("vector", "kernels"):
+        with pytest.raises(SimulationError, match="solver backend"):
+            FluidFabric(topo, solver_backend=backend)

@@ -7,7 +7,6 @@ from repro.simnet.fabric import FluidFabric
 from repro.simnet.flows import Flow
 from repro.simnet.telemetry import UtilizationRecorder
 from repro.simnet.topology import single_switch
-from repro.units import GBPS_56
 
 
 def _fabric(n=4, recorder=None):

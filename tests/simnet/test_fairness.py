@@ -1,20 +1,25 @@
-"""Unit + property tests for water-filling and the network fixed point."""
+"""Unit + property tests for water-filling, the network fixed point
+and the per-component solver's scheduler dispatch."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simnet.fairness import (
     FairScheduler,
+    LinkScheduler,
     PriorityScheduler,
     WFQScheduler,
     max_min_rates,
     network_rates,
+    solve_component,
     water_fill,
     weighted_water_fill,
 )
-from repro.simnet.flows import Flow
+from repro.simnet.flows import Flow, reset_flow_ids
+from repro.simnet.incidence import split_components
 
 INF = float("inf")
 
@@ -361,3 +366,141 @@ def test_network_rates_multi_hop_with_aux_unchanged():
     rates = network_rates([f0, f1], _caps({"L1": 10.0, "L2": 4.0}), _fair)
     assert rates[f0.flow_id] == pytest.approx(4.0, rel=1e-3)
     assert rates[f1.flow_id] == pytest.approx(6.0, rel=1e-3)
+
+
+# -- solve_component: scheduler dispatch and edge cases ---------------------------------
+
+
+def _component_views(flows, caps, schedulers):
+    """(members, on_link, caps, schedulers) per congestion component,
+    built the way the fabric builds them."""
+    views = []
+    for comp in split_components(flows):
+        on_link = {}
+        for flow in comp:
+            for lid in flow.path:
+                on_link.setdefault(lid, []).append(flow)
+        views.append((
+            comp, on_link,
+            {lid: caps[lid] for lid in on_link},
+            {lid: schedulers[lid] for lid in on_link},
+        ))
+    return views
+
+
+def test_all_fair_at_datacenter_scale_regression():
+    """Regression: 36 uniform-fair flows over 16 links at 1-5 GB/s
+    capacities.  ``level < m + _EPS`` with ``_EPS = 1e-9`` is sub-ulp
+    at this scale (one ulp of 5e9 is ~1e-6): a bottleneck filter that
+    rounds back to ``level < m`` finds no bottleneck and caps every
+    unlimited flow at infinity."""
+    rng = random.Random(20230)
+    reset_flow_ids()
+    links = [f"L{i}" for i in range(16)]
+    flows = []
+    for _ in range(36):
+        path = rng.sample(links, rng.randint(1, 4))
+        flows.append(Flow(src="s", dst="d", size=1e9, app="a",
+                          pl=0, path=tuple(path)))
+    caps = {lid: rng.uniform(1e9, 5e9) for lid in links}
+    schedulers = {lid: FairScheduler() for lid in links}
+    solved = 0
+    for comp, on_link, ccaps, cscheds in _component_views(
+        flows, caps, schedulers
+    ):
+        rates = solve_component(comp, on_link, cscheds, ccaps)
+        assert all(math.isfinite(r) for r in rates.values())
+        assert rates == max_min_rates(comp, ccaps)
+        solved += len(rates)
+    assert solved == 36
+
+
+def test_zero_weight_wfq_queue_gets_zero_rate():
+    """Flows in a zero-weight WFQ queue starve (weight 0 means no
+    service, not a division blowup); the weighted flow takes the link."""
+    reset_flow_ids()
+    flows = [
+        Flow(src="s", dst="d", size=1.0, app="a", pl=pl, path=("L0",))
+        for pl in (0, 0, 1)
+    ]
+    schedulers = {
+        "L0": WFQScheduler(
+            queue_of=lambda f: f.pl,
+            weight_of=lambda q: 0.0 if q == 0 else 1.0,
+        )
+    }
+    (comp, on_link, ccaps, cscheds), = _component_views(
+        flows, {"L0": 10.0}, schedulers
+    )
+    rates = solve_component(comp, on_link, cscheds, ccaps)
+    assert [rates[f.flow_id] for f in flows] == [0.0, 0.0, 10.0]
+
+
+class _TaggedFairScheduler(FairScheduler):
+    """A FairScheduler subclass that keeps the allocate contract.
+
+    Historically ``solve_component`` dispatched the exact
+    progressive-filling fast path on ``type(s) is FairScheduler``,
+    silently routing subclasses like this onto the slower weighted
+    rounds.  The explicit ``uniform_fair`` declaration keeps them on
+    the fast path.
+    """
+
+
+class _CountingScheduler(FairScheduler):
+    """Fast-path detector: allocate must never run on the fast path."""
+
+    def allocate(self, capacity, flows, demands):
+        raise AssertionError(
+            "allocate() called: the uniform_fair fast path was skipped"
+        )
+
+
+class _DuckScheduler:
+    """Duck-typed scheduler with no LinkScheduler ancestry and no
+    ``uniform_fair`` attribute; must take the general path safely."""
+
+    def usable_capacity(self, capacity, flows):
+        return capacity
+
+    def allocate(self, capacity, flows, demands):
+        share = capacity / len(flows)
+        return [min(share, d) for d in demands]
+
+
+def _single_link_view(scheduler, n_flows=4, cap=8.0):
+    reset_flow_ids()
+    flows = [
+        Flow(src="s", dst="d", size=1.0, app="a", pl=i, path=("L0",))
+        for i in range(n_flows)
+    ]
+    (view,) = _component_views(flows, {"L0": cap}, {"L0": scheduler})
+    return view
+
+
+def test_fair_subclass_stays_on_fast_path():
+    comp, on_link, ccaps, cscheds = _single_link_view(_TaggedFairScheduler())
+    assert solve_component(comp, on_link, cscheds, ccaps) == (
+        max_min_rates(comp, ccaps)
+    )
+    # The declaration, not the concrete type, selects the path:
+    # allocate is never consulted.
+    comp, on_link, ccaps, cscheds = _single_link_view(_CountingScheduler())
+    rates = solve_component(comp, on_link, cscheds, ccaps)
+    assert rates == max_min_rates(comp, ccaps)
+
+
+def test_duck_typed_scheduler_takes_general_path():
+    comp, on_link, ccaps, cscheds = _single_link_view(
+        _DuckScheduler(), n_flows=4, cap=8.0
+    )
+    rates = solve_component(comp, on_link, cscheds, ccaps)
+    assert rates == pytest.approx(
+        {f.flow_id: 2.0 for f in comp}, rel=1e-4
+    )
+
+
+def test_base_scheduler_declares_no_uniform_fairness():
+    assert LinkScheduler.uniform_fair is False
+    assert FairScheduler.uniform_fair is True
+    assert _TaggedFairScheduler.uniform_fair is True

@@ -71,8 +71,9 @@ def test_sample_config_is_pure():
 
 
 #: ``sample_config(seed).config()`` for seeds 0-19, recorded when the
-#: sampler still picked a flow-index backend for each scenario (that
-#: key is left out).  The sampler still consumes that draw, so every
+#: sampler still picked a flow-index backend and a solver backend for
+#: each scenario (the ``incidence_backend`` and ``solver_backend`` keys
+#: are left out).  The sampler still consumes both draws, so every
 #: later draw -- and every campaign seed -- must map to the same
 #: scenario.
 SAMPLED_CONFIGS = os.path.join(os.path.dirname(__file__), "sample_configs.json")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro.sweep import CACHE_DIR_ENV, SweepCache, Task, cache_key, default_cache
 

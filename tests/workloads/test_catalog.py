@@ -6,7 +6,6 @@ from repro.units import GBPS_56
 from repro.workloads.catalog import (
     CATALOG,
     PROFILER_NODES,
-    WorkloadTemplate,
     get_template,
     workload_names,
 )
